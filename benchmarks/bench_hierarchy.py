@@ -2,8 +2,7 @@
 
 Each benchmark here runs the same executable through a deeper and deeper
 level pipeline and reports simulated instructions per host second — the
-cost of the composable hierarchy model itself.  Run under pytest-benchmark
-as part of the harness, or directly::
+cost of the composable hierarchy model itself.  Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_hierarchy.py
 

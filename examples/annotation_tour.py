@@ -12,26 +12,20 @@ the per-function WCET report.
 from repro.benchmarks import get
 from repro.link import link
 from repro.memory import SystemConfig
-from repro.minic import compile_source
 from repro.wcet import analyze_wcet, format_annotations, \
     generate_annotations
-from repro.sim import simulate
-from repro.sim.profile import build_profile
 from repro.spm import allocate_energy_optimal
+from repro.workflow import Workflow
 
 SPM_SIZE = 256
 
 
 def main():
-    compiled = compile_source(get("adpcm").source())
+    workflow = Workflow(get("adpcm").source())
 
-    baseline = link(compiled.program)
-    profile = build_profile(
-        baseline, simulate(baseline, SystemConfig.uncached(),
-                           profile=True))
-    allocation = allocate_energy_optimal(compiled.program, profile,
-                                         SPM_SIZE)
-    image = link(compiled.program, spm_size=SPM_SIZE,
+    allocation = allocate_energy_optimal(workflow.program,
+                                         workflow.profile(), SPM_SIZE)
+    image = link(workflow.program, spm_size=SPM_SIZE,
                  spm_objects=allocation.objects)
     config = SystemConfig.scratchpad(SPM_SIZE)
 

@@ -12,11 +12,10 @@ Walks the whole stack in ~30 lines of API:
 
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
-from repro.minic import compile_source
 from repro.sim import simulate
 from repro.spm import allocate_energy_optimal
-from repro.sim.profile import build_profile
 from repro.wcet import analyze_wcet
+from repro.workflow import Workflow
 
 SOURCE = """
 int samples[32];
@@ -44,17 +43,16 @@ SPM_SIZE = 512
 
 
 def main():
-    compiled = compile_source(SOURCE)
+    workflow = Workflow(SOURCE)
+    program = workflow.program
 
     # --- profile once on the plain layout (drives the SPM knapsack) ----
-    baseline = link(compiled.program)
-    profile_run = simulate(baseline, SystemConfig.uncached(), profile=True)
-    profile = build_profile(baseline, profile_run)
+    baseline = workflow.baseline_image()
+    profile = workflow.profile()
 
     # --- the three systems of the paper --------------------------------
-    allocation = allocate_energy_optimal(compiled.program, profile,
-                                         SPM_SIZE)
-    spm_image = link(compiled.program, spm_size=SPM_SIZE,
+    allocation = allocate_energy_optimal(program, profile, SPM_SIZE)
+    spm_image = link(program, spm_size=SPM_SIZE,
                      spm_objects=allocation.objects)
 
     systems = [

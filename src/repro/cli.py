@@ -3,9 +3,8 @@
 Subcommands (all take a mini-C source file):
 
 * ``run``        — compile, link, simulate; print cycles and console
-  (``--record-misses`` switches to the recording engine and reports the
-  hottest fetch-miss addresses; ``--engine replay`` records the access
-  trace once and re-prices it, bit-identical to ``--engine execute``)
+  (``--record-misses`` also reports the hottest fetch-miss addresses,
+  attributed per pc from the same recorded trace)
 * ``trace``      — record the dynamic access trace and summarise it
   (``--profile`` dumps the trace-cache and replay counters;
   ``--export FILE`` writes the portable text format ``ingest`` reads)
@@ -56,8 +55,10 @@ from .memory.cache import CacheConfig
 from .memory.hierarchy import SystemConfig
 from .memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
 from .minic.frontend import compile_source
-from .sim.profile import build_profile
+from .sim.profile import build_profile, trace_counts
+from .sim.replay import replay, replay_misses
 from .sim.simulator import SimError, simulate
+from .sim.trace import trace_counters, trace_for
 from .spm.allocator import allocate_energy_optimal
 from .spm.wcet_driven import allocate_wcet_driven
 from .wcet.analyzer import analyze_wcet
@@ -167,9 +168,8 @@ def _build(args):
     if args.spm:
         if args.alloc == "energy":
             baseline = link(compiled.program)
-            profile_run = simulate(baseline, SystemConfig.uncached(),
-                                   profile=True)
-            profile = build_profile(baseline, profile_run)
+            profile = build_profile(
+                baseline, *trace_counts(trace_for(baseline, 0)))
             allocation = allocate_energy_optimal(compiled.program,
                                                  profile, args.spm)
         else:
@@ -203,23 +203,15 @@ def _print_result(result, config):
 
 def cmd_run(args):
     image, config = _build(args)
-    # Plain runs take the compiled fast engine; --record-misses opts
-    # into the recording engine, which tracks misses per address;
-    # --engine replay records the access trace and re-prices it.
-    if args.engine == "replay":
-        if args.record_misses:
-            raise SystemExit("--record-misses needs the recording "
-                             "engine; drop --engine replay")
-        from .sim.replay import replay
-        from .sim.trace import trace_for
-        result = replay(trace_for(image, config.spm_size), config)
-    else:
-        result = simulate(image, config, record_misses=args.record_misses)
+    trace = trace_for(image, config.spm_size)
+    result = replay(trace, config)
     for line in result.console:
         print(line)
     _print_result(result, config)
-    if args.record_misses and result.fetch_misses:
-        worst = sorted(result.fetch_misses.items(),
+    fetch_misses = (replay_misses(trace, config)[0]
+                    if args.record_misses else None)
+    if fetch_misses:
+        worst = sorted(fetch_misses.items(),
                        key=lambda kv: (-kv[1], kv[0]))[:5]
         print("# hottest fetch-miss addresses:")
         for addr, count in worst:
@@ -240,7 +232,6 @@ def _print_trace_summary(trace, heading):
 
 def cmd_trace(args):
     image, config = _build(args)
-    from .sim.trace import trace_counters, trace_for
     trace = trace_for(image, config.spm_size)
     if args.export:
         from .sim.ingest import save_trace
@@ -250,7 +241,6 @@ def cmd_trace(args):
     if args.profile:
         # One replay under the requested hierarchy, so the counters
         # show which kernel (scalar/numpy) served it.
-        from .sim.replay import replay
         before = dict(trace_counters())
         replay(trace, config)
         after = trace_counters()
@@ -269,7 +259,7 @@ def cmd_ingest(args):
     """Price a foreign address trace under the modelled hierarchies."""
     from .memory.cache import CacheConfig as _CacheConfig
     from .sim.ingest import TraceFormatError, load_trace
-    from .sim.replay import replay, replay_sweep
+    from .sim.replay import replay_sweep
     try:
         trace = load_trace(args.trace, fmt=args.format)
     except TraceFormatError as error:
@@ -298,7 +288,6 @@ def cmd_ingest(args):
 def cmd_sweep(args):
     """Price a whole (size × associativity) cache grid in one pass."""
     from .sim.replay import replay_grid
-    from .sim.trace import trace_counters, trace_for
     with open(args.source) as handle:
         compiled = compile_source(handle.read(), entry=args.entry)
     image = link(compiled.program)
@@ -553,13 +542,7 @@ def main(argv=None) -> int:
         if name == "run":
             command.add_argument(
                 "--record-misses", action="store_true",
-                help="use the recording engine and report the hottest "
-                     "fetch-miss addresses")
-            command.add_argument(
-                "--engine", choices=("execute", "replay"),
-                default="execute",
-                help="execute the program, or record its access trace "
-                     "and replay it (bit-identical results)")
+                help="also report the hottest fetch-miss addresses")
             _add_kernel_option(command)
         if name == "trace":
             command.add_argument(

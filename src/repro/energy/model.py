@@ -76,7 +76,9 @@ class EnergyModel:
 def program_energy_nj(image, result, model: EnergyModel = None) -> float:
     """Total energy of a profiled run (fetch + data + CPU base).
 
-    *result* must come from ``simulate(..., profile=True)``.  Each access
+    *result* must carry per-address counts, i.e. come from the oracle's
+    ``simulate_oracle(..., profile=True)`` (scratchpad-resident
+    accesses have no addresses in a recorded trace).  Each access
     is priced by the region its address landed in; a cached system prices
     main-memory addresses at main cost for misses — callers wanting cache
     energy should add :func:`cache_access_energy_nj` terms from the cache

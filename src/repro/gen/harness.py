@@ -8,11 +8,11 @@ increasing depth:
    engine and reaches its own embedded checksum comparison: exit code
    42 and the console the reference evaluator predicted.  Catches
    codegen/linker/engine semantic breaks;
-2. **engine differentials** — trace replay reproduces direct execution
-   bit for bit (cycles, instructions, exit, console, per-level stats)
-   on every hierarchy shape, and with ``misses=True`` the recording
-   engine agrees too, down to per-pc fetch-miss attribution
-   (:func:`repro.sim.replay.replay_misses`);
+2. **executor differentials** — record + replay reproduces the
+   oracle interpreter (:func:`repro.sim.simulate_oracle`) bit for bit
+   (cycles, instructions, exit, console, per-level stats) on every
+   hierarchy shape, and with ``misses=True`` down to per-pc fetch-miss
+   attribution (:func:`repro.sim.replay.replay_misses`);
 3. **WCET soundness** — the static bound dominates the simulated cycle
    count on every shape (the paper's core invariant);
 4. **abstract-domain differential** — with ``domains=True`` the packed
@@ -29,7 +29,7 @@ from __future__ import annotations
 from ..link import link
 from ..memory import CacheConfig, SystemConfig
 from ..minic import compile_source
-from ..sim import Simulator, simulate
+from ..sim import simulate, simulate_oracle
 from ..sim.replay import replay, replay_misses
 from ..sim.trace import record_trace
 from ..wcet import analyze_wcet
@@ -74,7 +74,7 @@ def _stats_tuple(stats):
 
 def _same_result(replayed, executed, context):
     _expect(replayed.cycles == executed.cycles,
-            f"replay cycles {replayed.cycles} != engine "
+            f"replay cycles {replayed.cycles} != oracle "
             f"{executed.cycles} [{context}]")
     _expect(replayed.instructions == executed.instructions,
             f"replay instruction count diverged [{context}]")
@@ -106,19 +106,16 @@ def check_program(program: GeneratedProgram, shapes=DEFAULT_SHAPES, *,
     for name, factory in shapes:
         config = factory()
         context = f"shape={name} {hint}"
-        executed = simulate(image, config)
+        executed = simulate_oracle(image, config, record_misses=misses)
         _expect(executed.exit_code == program.expected_exit,
                 f"memory system changed computed values [{context}]")
         replayed = replay(trace, config)
         _same_result(replayed, executed, context)
         if misses:
-            recorded = Simulator(image, config).run(record_misses=True)
-            _expect(recorded.cycles == executed.cycles,
-                    f"recording engine cycles diverged [{context}]")
             fetch, main = replay_misses(trace, config)
-            _expect(fetch == dict(recorded.fetch_misses),
+            _expect(fetch == dict(executed.fetch_misses),
                     f"replay-served fetch_misses diverged [{context}]")
-            _expect(main == dict(recorded.fetch_main_misses),
+            _expect(main == dict(executed.fetch_main_misses),
                     f"replay-served fetch_main_misses diverged "
                     f"[{context}]")
         if wcet:
@@ -155,7 +152,7 @@ def check_spm_placement(program: GeneratedProgram,
             used += aligned
     image = link(compiled.program, spm_size=spm_size, spm_objects=chosen)
     config = SystemConfig.scratchpad(spm_size)
-    placed = simulate(image, config)
+    placed = simulate_oracle(image, config)
     context = f"spm={spm_size} {hint}"
     _expect(placed.exit_code == program.expected_exit,
             f"SPM placement changed computed values [{context}]")

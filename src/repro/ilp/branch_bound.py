@@ -43,7 +43,11 @@ def _with_bounds(model, overrides):
 
 
 def solve_ilp(model: Model, max_nodes=20000) -> Solution:
-    """Solve *model* to integer optimality by branch & bound."""
+    """Solve *model* to integer optimality by branch & bound.
+
+    Running out of *max_nodes* with open nodes left is reported as
+    ``ITERATION_LIMIT``, whatever incumbent was found by then.
+    """
     incumbent = None
     incumbent_obj = -math.inf if model.maximize else math.inf
 
@@ -52,7 +56,6 @@ def solve_ilp(model: Model, max_nodes=20000) -> Solution:
 
     stack = [{}]  # bound-override dicts
     nodes = 0
-    root_infeasible = True
 
     while stack and nodes < max_nodes:
         overrides = stack.pop()
@@ -63,7 +66,6 @@ def solve_ilp(model: Model, max_nodes=20000) -> Solution:
             return Solution(status=Status.UNBOUNDED)
         if not solution.is_optimal:
             continue
-        root_infeasible = False
         if incumbent is not None and not better(solution.objective,
                                                 incumbent_obj):
             continue  # bound: relaxation can't beat the incumbent
@@ -92,8 +94,10 @@ def solve_ilp(model: Model, max_nodes=20000) -> Solution:
         stack.append(down)
         stack.append(up)
 
+    if stack:
+        # Open nodes remain: the incumbent is only a bound on the
+        # optimum (a lower one when maximising), never the optimum.
+        return Solution(status=Status.ITERATION_LIMIT)
     if incumbent is not None:
         return incumbent
-    if nodes >= max_nodes and not root_infeasible:
-        return Solution(status=Status.ITERATION_LIMIT)
     return Solution(status=Status.INFEASIBLE)

@@ -114,15 +114,15 @@ class Cache:
         # insertion order (for FIFO).
         self.sets = [[] for _ in range(config.num_sets)]
         self.stats = CacheStats()
-        # Counters filled by the hierarchy's fast path (hit/miss per
-        # access source, in CacheStats field order); folded into
+        # Counters filled by the replay walks' touch closures (hit/miss
+        # per access source, in CacheStats field order); folded into
         # ``stats`` by :meth:`flush_fast_counts`.
         self.fast_counts = [0, 0, 0, 0, 0, 0]
         self._victim = 1  # LFSR state for RANDOM
 
     def reset(self):
-        # Clear in place: the fast-path closures built by
-        # MemoryHierarchy bind the set lists and counter list directly.
+        # Clear in place: the touch closures built by MemoryHierarchy
+        # bind the set lists and counter list directly.
         for ways in self.sets:
             del ways[:]
         self.stats = CacheStats()
@@ -131,7 +131,7 @@ class Cache:
         self._victim = 1
 
     def flush_fast_counts(self):
-        """Fold the fast path's plain-int counters into ``stats``."""
+        """Fold the touch closures' plain-int counters into ``stats``."""
         counts = self.fast_counts
         if any(counts):
             stats = self.stats

@@ -19,10 +19,11 @@ memory.  The future-work shapes get constructors too:
 * ``SystemConfig.split_l1(icache, dcache)`` — separate I/D caches;
 * ``SystemConfig.with_levels(name, levels)`` — anything else.
 
-:class:`MemoryHierarchy` turns a config into a stateful cycle model the
-simulator queries once per access; every query returns an explicit
-:class:`~repro.memory.levels.Access` outcome (cycles, hit/miss, serving
-level).  The WCET analyser walks the *same* level specs and the same
+:class:`MemoryHierarchy` turns a config into a stateful cycle model:
+the oracle interpreter queries it once per access, and every query
+returns an explicit :class:`~repro.memory.levels.Access` outcome
+(cycles, hit/miss, serving level); the scalar replay walks drive the
+same tag arrays through its touch closures.  The WCET analyser walks the *same* level specs and the same
 :func:`~repro.memory.levels.serve_costs` table, so simulation and
 analysis share one machine model by construction.
 """
@@ -190,7 +191,7 @@ class SystemConfig:
 
 
 class MemoryHierarchy:
-    """Stateful per-access cycle model used by the simulator.
+    """Stateful per-access cycle model (the oracle's, and replay's tags).
 
     Each cache level gets its own tag array (one shared array for a
     unified level, two for split I/D).  An access walks its path
@@ -316,19 +317,15 @@ class MemoryHierarchy:
         """Cycles for a data write of *width* bytes at *addr*."""
         return self.write(addr, width).cycles
 
-    # -- fast path -----------------------------------------------------------
+    # -- replay touch closures ------------------------------------------------
     #
     # The allocating accessors above return an Access object per query —
-    # fine for the recording engine (profile / record_misses runs), far
-    # too slow for the hot loop.  The factories below compile the same
-    # machine model into closures that return *plain int* cycle counts
-    # from precomputed SPM/main cost tables and the flat per-set tag
-    # lists, updating each cache's ``fast_counts`` instead of its
-    # CacheStats (call :meth:`flush_fast_stats` when a run finishes).
-    # Tag-array behaviour is bit-identical to Cache.fetch/read/write.
-
-    def _spm_end(self) -> int:
-        return self._spm.end if self._spm is not None else 0
+    # right for the oracle interpreter, far too slow for replaying whole
+    # traces.  The scalar replay walks (:mod:`repro.sim.replay`) build
+    # these per-cache closures instead: they update the flat per-set tag
+    # lists and each cache's ``fast_counts`` rather than its CacheStats
+    # (call :meth:`flush_fast_stats` when a walk finishes).  Tag-array
+    # behaviour is bit-identical to Cache.fetch/read/write.
 
     def _make_touch(self, cache: Cache, base: int):
         """``touch(block, index) -> hit`` matching ``Cache._touch`` with
@@ -391,175 +388,8 @@ class MemoryHierarchy:
                 counts[5] += 1
         return touch
 
-    def fetch_fast_factory(self):
-        """``make(addr) -> (() -> cycles)`` for 16-bit fetches at *addr*.
-
-        The per-address factory folds the set index and block tag into
-        the closure as constants, so the hot path is one list index and
-        one compare for the common direct-mapped hit.
-        """
-        spm_end = self._spm_end()
-        spm_cost = self._spm_out[2].cycles
-        main_cost = self._main_out[2].cycles
-        chain = self._fetch_chain
-        costs = [out.cycles for out in self._fetch_out]
-
-        if not chain:
-            def make(addr):
-                cost = spm_cost if 0 <= addr < spm_end else main_cost
-
-                def fetch():
-                    return cost
-                return fetch
-            return make
-
-        geometry = [(c.config.line_size, c.config.num_sets) for c in chain]
-
-        if len(chain) == 1 and chain[0].config.assoc == 1:
-            cache = chain[0]
-            sets = cache.sets
-            counts = cache.fast_counts
-            line, nsets = geometry[0]
-            hit_cost, miss_cost = costs[0], costs[1]
-
-            def make(addr):
-                if 0 <= addr < spm_end:
-                    def fetch():
-                        return spm_cost
-                    return fetch
-                block = addr // line
-                index = block % nsets
-
-                def fetch():
-                    ways = sets[index]
-                    if ways and ways[0] == block:
-                        counts[0] += 1
-                        return hit_cost
-                    if ways:
-                        ways[0] = block
-                    else:
-                        ways.append(block)
-                    counts[1] += 1
-                    return miss_cost
-                return fetch
-            return make
-
-        touches = [self._make_touch(cache, 0) for cache in chain]
-        miss_cost = costs[len(chain)]
-
-        def make(addr):
-            if 0 <= addr < spm_end:
-                def fetch():
-                    return spm_cost
-                return fetch
-            pairs = [(addr // line, (addr // line) % nsets)
-                     for line, nsets in geometry]
-            touch0 = touches[0]
-            block0, index0 = pairs[0]
-            hit_cost = costs[0]
-            deeper = tuple(
-                (touches[i], pairs[i][0], pairs[i][1], costs[i])
-                for i in range(1, len(touches)))
-
-            def fetch():
-                if touch0(block0, index0):
-                    return hit_cost
-                for touch, block, index, cost in deeper:
-                    if touch(block, index):
-                        return cost
-                return miss_cost
-            return fetch
-        return make
-
-    def data_fast_ops(self):
-        """``(dread(addr, width), dwrite(addr, width))`` plain-int ops."""
-        spm_end = self._spm_end()
-        # Width-indexed cost tables (widths are 1, 2, 4).
-        spm_tab = [None] * 5
-        main_tab = [None] * 5
-        for width in (1, 2, 4):
-            spm_tab[width] = self._spm_out[width].cycles
-            main_tab[width] = self._main_out[width].cycles
-        chain = self._data_chain
-        costs = [out.cycles for out in self._data_out]
-
-        if not chain:
-            if spm_end:
-                def dread(addr, width):
-                    return (spm_tab[width] if 0 <= addr < spm_end
-                            else main_tab[width])
-                dwrite = dread
-            else:
-                def dread(addr, width):
-                    return main_tab[width]
-                dwrite = dread
-            return dread, dwrite
-
-        write_touches = [self._make_write_touch(cache) for cache in chain]
-        wgeometry = [(c.config.line_size, c.config.num_sets) for c in chain]
-
-        if len(chain) == 1 and chain[0].config.assoc == 1:
-            cache = chain[0]
-            sets = cache.sets
-            counts = cache.fast_counts
-            line, nsets = wgeometry[0]
-            hit_cost, miss_cost = costs[0], costs[1]
-
-            def dread(addr, width):
-                if 0 <= addr < spm_end:
-                    return spm_tab[width]
-                block = addr // line
-                ways = sets[block % nsets]
-                if ways and ways[0] == block:
-                    counts[2] += 1
-                    return hit_cost
-                if ways:
-                    ways[0] = block
-                else:
-                    ways.append(block)
-                counts[3] += 1
-                return miss_cost
-        else:
-            touches = [self._make_touch(cache, 2) for cache in chain]
-            geometry = wgeometry
-            deep_miss = costs[len(chain)]
-
-            def dread(addr, width):
-                if 0 <= addr < spm_end:
-                    return spm_tab[width]
-                depth = 0
-                for touch, (line, nsets) in zip(touches, geometry):
-                    block = addr // line
-                    if touch(block, block % nsets):
-                        return costs[depth]
-                    depth += 1
-                return deep_miss
-
-        if len(chain) == 1:
-            wtouch = write_touches[0]
-            wline, wnsets = wgeometry[0]
-
-            def dwrite(addr, width):
-                if 0 <= addr < spm_end:
-                    return spm_tab[width]
-                block = addr // wline
-                wtouch(block, block % wnsets)
-                return main_tab[width]
-        else:
-            wpairs = tuple(zip(write_touches, wgeometry))
-
-            def dwrite(addr, width):
-                if 0 <= addr < spm_end:
-                    return spm_tab[width]
-                for touch, (line, nsets) in wpairs:
-                    block = addr // line
-                    touch(block, block % nsets)
-                return main_tab[width]
-
-        return dread, dwrite
-
     def flush_fast_stats(self):
-        """Fold every cache's fast-path counters into its CacheStats."""
+        """Fold every cache's touch-closure counters into its CacheStats."""
         for cache in self.caches.values():
             cache.flush_fast_counts()
 

@@ -1,17 +1,29 @@
 """Instruction-set simulation (the ARMulator role in the paper's Figure 1).
 
-Two complementary paths produce bit-identical results:
+One executor and one pricer:
 
 * **execute** — the compiled flat-array engine (:mod:`repro.sim.engine`)
-  runs the program under one memory configuration;
-* **replay** — the engine records the config-independent access trace
-  once per image (:mod:`repro.sim.trace`) and the replay kernels
-  (:mod:`repro.sim.replay`) re-price it under any number of
-  configurations, including whole size sweeps in a single pass.
+  runs the program once per image and records its config-independent
+  access trace (:mod:`repro.sim.trace`);
+* **replay** — the replay kernels (:mod:`repro.sim.replay`) price that
+  trace under any number of configurations, including whole size
+  sweeps in a single pass.  :func:`simulate` is one recording plus one
+  replay; profiles (:func:`trace_counts`) and per-pc misses
+  (:func:`replay_misses`) come from the trace too.
+
+The recording interpreter (:func:`simulate_oracle`) is the tests'
+independent oracle for all of it.
 """
 
-from .simulator import MemoryFault, SimError, SimResult, Simulator, simulate
-from .profile import ObjectProfile, ProgramProfile, build_profile
+from .simulator import (
+    MemoryFault,
+    SimError,
+    SimResult,
+    Simulator,
+    simulate,
+    simulate_oracle,
+)
+from .profile import ObjectProfile, ProgramProfile, build_profile, trace_counts
 from .kernels import active_kernel, have_numpy, set_kernel
 from .replay import (
     grid_geometry,
@@ -33,7 +45,8 @@ from .ingest import TraceFormatError, dump_trace, load_trace, parse_trace
 
 __all__ = [
     "MemoryFault", "SimError", "SimResult", "Simulator", "simulate",
-    "ObjectProfile", "ProgramProfile", "build_profile",
+    "simulate_oracle",
+    "ObjectProfile", "ProgramProfile", "build_profile", "trace_counts",
     "active_kernel", "have_numpy", "set_kernel",
     "grid_geometry", "replay", "replay_grid", "replay_misses",
     "replay_sweep", "sweep_geometry",

@@ -1,33 +1,28 @@
-"""Flat-array threaded-code execution engine for the T16 simulator.
+"""Flat-array threaded-code execution engine: the simulator's executor.
 
-:class:`~repro.sim.simulator.Simulator` keeps two interpreters over one
-machine model:
+Every simulation executes here exactly once per image and records the
+program's dynamic access stream; :mod:`repro.sim.replay` then prices
+that stream under any memory configuration.  The modelled core has no
+timing feedback, so which access happens next never depends on what
+an access costs, and execution needs no cache model at all.
 
-* the **recording** loop in ``simulator.py`` — an instruction dispatch
-  over decoded :class:`~repro.isa.instruction.Instr` objects that can
-  count per-address fetches, data accesses and misses (``profile=True``
-  / ``record_misses=True`` runs);
-* this module's **fast engine**, used for every plain timing run.
-
-The fast engine pre-compiles each decoded instruction into a specialized
+The engine pre-compiles each decoded instruction into a specialized
 zero-argument *step closure* at predecode time (threaded-code style).
 Everything knowable at compile time is folded into the closure as a
 constant: the fall-through pc, immediate operands, the MOVI flag
-results, PC-relative literal addresses, the instruction's own icache set
-index and block tag.  Step closures are stored in two flat arrays (one
-for scratchpad-resident code at the bottom of the address space, one
-for main-memory code starting at :data:`~repro.memory.regions.
+results, PC-relative literal addresses, the packed trace word of the
+instruction's own fetch.  Step closures are stored in two flat arrays
+(one for scratchpad-resident code at the bottom of the address space,
+one for main-memory code starting at :data:`~repro.memory.regions.
 MAIN_BASE`), so dispatch is a list index, not a dict probe.
 
-Cycle accounting goes through a one-element list (``box``) shared by all
-closures; memory costs come from the hierarchy's fast path
-(:meth:`~repro.memory.hierarchy.MemoryHierarchy.fetch_fast_factory` /
-:meth:`~repro.memory.hierarchy.MemoryHierarchy.data_fast_ops`), which
-returns plain ints from precomputed SPM/main cost tables and flat-list
-cache sets.  Results — cycles, instruction counts, console output, exit
-codes, per-level cache hit/miss counters — are bit-identical to the
-recording loop (asserted by ``tests/test_sim_fastpath.py`` over every
-benchmark and hierarchy shape).
+Recording goes straight into the trace layout of :mod:`repro.sim.trace`:
+every main-memory access appends one packed ``addr << 3 | tag`` word to
+``ops``, every scratchpad-resident access bumps ``spm_counts[tag]``
+(SPM costs are config-fixed, so replay never needs their addresses).
+A main-memory fetch is a bound ``ops.append`` of a precomputed word.
+The cycle box (``box``) holds only the config-independent cycles:
+taken-branch refills and the MUL/SWI execute extras.
 
 Flags live in a four-element list ``fl`` with a truthiness encoding
 private to the engine: N and V hold ``result & 0x80000000`` (so either
@@ -38,6 +33,8 @@ private to the engine: N and V hold ``result & 0x80000000`` (so either
 
 from __future__ import annotations
 
+from array import array
+from functools import partial
 from struct import Struct
 
 from ..isa.opcodes import Cond, Op
@@ -49,7 +46,14 @@ _SIGN = 0x80000000
 
 _U32 = Struct("<I")
 _U16 = Struct("<H")
-_S16 = Struct("<h")
+
+#: Access-kind tags of the packed trace words (low 3 bits).
+TAG_FETCH = 0
+READ_TAGS = {1: 1, 2: 2, 4: 3}
+WRITE_TAGS = {1: 4, 2: 5, 4: 6}
+#: Fetch of the second halfword of a 32-bit instruction; the owning
+#: instruction's pc is ``addr - 2``.  Priced exactly like TAG_FETCH.
+TAG_FETCH_CONT = 7
 
 
 class EngineError(Exception):
@@ -94,28 +98,29 @@ class CompiledProgram:
     """The step-closure arrays plus the state cells they share."""
 
     __slots__ = ("spm_steps", "main_steps", "box", "console", "exit_box",
-                 "flags", "sim_error")
+                 "flags", "ops", "spm_counts", "sim_error")
 
     def __init__(self, spm_steps, main_steps, box, console, exit_box,
-                 flags, sim_error):
+                 flags, ops, spm_counts, sim_error):
         self.spm_steps = spm_steps
         self.main_steps = main_steps
         self.box = box
         self.console = console
         self.exit_box = exit_box
         self.flags = flags
+        self.ops = ops
+        self.spm_counts = spm_counts
         self.sim_error = sim_error
 
     def run(self, pc, max_steps):
-        """Execute from *pc*; returns ``(cycles, instructions, exit)``."""
+        """Execute from *pc*; returns ``(base_cycles, instructions,
+        exit)``.  A program records into its ``ops``/``spm_counts``
+        once: compile a fresh one per run."""
         spm_steps = self.spm_steps
         main_steps = self.main_steps
         spm_top = len(spm_steps)
         main_top = len(main_steps)
         box = self.box
-        box[0] = 0
-        del self.console[:]
-        self.exit_box[0] = None
         main_base = MAIN_BASE
         steps = 0
         while steps < max_steps:
@@ -135,62 +140,72 @@ class CompiledProgram:
             f"exceeded {max_steps} steps (runaway program?)")
 
 
-def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
-                    mem_fault):
-    """Compile decoded instructions into a :class:`CompiledProgram`.
+def compile_program(code, ram, regs, spm_limit, sim_error, mem_fault):
+    """Compile decoded instructions into a recording
+    :class:`CompiledProgram`.
 
-    *code* maps instruction address -> Instr; *ram*, *regs* and the
-    hierarchy's tag arrays are shared with the owning Simulator, so
-    engine runs and direct state inspection stay coherent.
+    *code* maps instruction address -> Instr; *ram* and *regs* are
+    shared with the owning Simulator, so engine runs and direct state
+    inspection stay coherent.  Addresses below *spm_limit* are the
+    scratchpad: mapped, and recorded as per-tag counts only.
     """
     box = [0]
     console = []
     exit_box = [None]
     fl = [0, 0, 0, 0]  # n, z, c, v in the engine encoding
-    make_fetch = hierarchy.fetch_fast_factory()
-    dread, dwrite = hierarchy.data_fast_ops()
+    ops = array("Q")
+    append = ops.append
+    spm_counts = [0] * 8
     refill = BRANCH_REFILL_CYCLES
     mul_extra = instruction_extra_cycles(Op.MUL)
     swi_extra = instruction_extra_cycles(Op.SWI)
     u32, p32 = _U32.unpack_from, _U32.pack_into
     u16, p16 = _U16.unpack_from, _U16.pack_into
-    s16 = _S16.unpack_from
     main_base, stack_top = MAIN_BASE, STACK_TOP
 
-    # -- shared data-access helpers (check, cycles, bytes) -------------------
+    def make_fetch(addr, tag):
+        if addr < spm_limit:
+            def fetch():
+                spm_counts[tag] += 1
+            return fetch
+        return partial(append, (addr << 3) | tag)
+
+    # -- shared data-access helpers (check, record, bytes) -------------------
+    # The literal tags are READ_TAGS[width] / WRITE_TAGS[width].
 
     def load4(addr):
         if addr % 4:
             raise mem_fault(f"unaligned 4-byte access at {addr:#x}")
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 4 > stack_top):
+        if addr < spm_limit:
+            spm_counts[3] += 1
+        elif addr < main_base or addr + 4 > stack_top:
             raise mem_fault(f"access to unmapped address {addr:#x}")
-        box[0] += dread(addr, 4)
+        else:
+            append((addr << 3) | 3)
         return u32(ram, addr)[0]
 
     def load2(addr):
         if addr % 2:
             raise mem_fault(f"unaligned 2-byte access at {addr:#x}")
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 2 > stack_top):
+        if addr < spm_limit:
+            spm_counts[2] += 1
+        elif addr < main_base or addr + 2 > stack_top:
             raise mem_fault(f"access to unmapped address {addr:#x}")
-        box[0] += dread(addr, 2)
+        else:
+            append((addr << 3) | 2)
         return u16(ram, addr)[0]
 
     def load2s(addr):
-        if addr % 2:
-            raise mem_fault(f"unaligned 2-byte access at {addr:#x}")
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 2 > stack_top):
-            raise mem_fault(f"access to unmapped address {addr:#x}")
-        box[0] += dread(addr, 2)
-        return s16(ram, addr)[0]
+        value = load2(addr)
+        return value - 0x10000 if value & 0x8000 else value
 
     def load1(addr):
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 1 > stack_top):
+        if addr < spm_limit:
+            spm_counts[1] += 1
+        elif addr < main_base or addr + 1 > stack_top:
             raise mem_fault(f"access to unmapped address {addr:#x}")
-        box[0] += dread(addr, 1)
+        else:
+            append((addr << 3) | 1)
         return ram[addr]
 
     def load1s(addr):
@@ -200,34 +215,40 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
     def store4(addr, value):
         if addr % 4:
             raise mem_fault(f"unaligned 4-byte access at {addr:#x}")
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 4 > stack_top):
+        if addr < spm_limit:
+            spm_counts[6] += 1
+        elif addr < main_base or addr + 4 > stack_top:
             raise mem_fault(f"access to unmapped address {addr:#x}")
+        else:
+            append((addr << 3) | 6)
         p32(ram, addr, value & _MASK)
-        box[0] += dwrite(addr, 4)
 
     def store2(addr, value):
         if addr % 2:
             raise mem_fault(f"unaligned 2-byte access at {addr:#x}")
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 2 > stack_top):
+        if addr < spm_limit:
+            spm_counts[5] += 1
+        elif addr < main_base or addr + 2 > stack_top:
             raise mem_fault(f"access to unmapped address {addr:#x}")
+        else:
+            append((addr << 3) | 5)
         p16(ram, addr, value & 0xFFFF)
-        box[0] += dwrite(addr, 2)
 
     def store1(addr, value):
-        if addr >= spm_limit and (addr < main_base
-                                  or addr + 1 > stack_top):
+        if addr < spm_limit:
+            spm_counts[4] += 1
+        elif addr < main_base or addr + 1 > stack_top:
             raise mem_fault(f"access to unmapped address {addr:#x}")
+        else:
+            append((addr << 3) | 4)
         ram[addr] = value & 0xFF
-        box[0] += dwrite(addr, 1)
 
     # -- per-instruction compilation ----------------------------------------
 
     def build(addr, instr):  # noqa: C901 - one dispatch, many tiny bodies
         op = instr.op
         nxt = addr + instr.size
-        fetch = make_fetch(addr)
+        fetch = make_fetch(addr, TAG_FETCH)
         rd, rn, rm, imm = instr.rd, instr.rn, instr.rm, instr.imm
 
         # --- moves / immediates ---
@@ -235,7 +256,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             n_c, z_c = imm & _SIGN, imm == 0
 
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = imm
                 fl[0] = n_c
                 fl[1] = z_c
@@ -243,7 +264,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.CMPI:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rd]
                 total = a - imm
                 r = total & _MASK
@@ -257,7 +278,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             src = rd if op is Op.ADDI else rn
 
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[src]
                 total = a + imm
                 r = total & _MASK
@@ -272,7 +293,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             src = rd if op is Op.SUBI else rn
 
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[src]
                 total = a - imm
                 r = total & _MASK
@@ -285,7 +306,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.ADDR:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rn]
                 b = regs[rm]
                 total = a + b
@@ -299,7 +320,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.SUBR:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rn]
                 b = regs[rm]
                 total = a - b
@@ -313,7 +334,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.MOVR:
             def step():
-                box[0] += fetch()
+                fetch()
                 r = regs[rm]
                 regs[rd] = r
                 fl[0] = r & _SIGN
@@ -325,7 +346,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
         if op is Op.LSLI:
             if imm == 0:
                 def step():
-                    box[0] += fetch()
+                    fetch()
                     r = regs[rm]
                     regs[rd] = r
                     fl[0] = r & _SIGN
@@ -335,7 +356,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             carry_shift = 32 - imm
 
             def step():
-                box[0] += fetch()
+                fetch()
                 v = regs[rm]
                 fl[2] = (v >> carry_shift) & 1
                 r = (v << imm) & _MASK
@@ -347,7 +368,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
         if op is Op.LSRI:
             if imm == 0:
                 def step():
-                    box[0] += fetch()
+                    fetch()
                     r = regs[rm]
                     regs[rd] = r
                     fl[0] = r & _SIGN
@@ -357,7 +378,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             carry_shift = imm - 1
 
             def step():
-                box[0] += fetch()
+                fetch()
                 v = regs[rm]
                 fl[2] = (v >> carry_shift) & 1
                 r = v >> imm
@@ -369,7 +390,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
         if op is Op.ASRI:
             if imm == 0:
                 def step():
-                    box[0] += fetch()
+                    fetch()
                     v = regs[rm]
                     r = v & _MASK
                     regs[rd] = r
@@ -380,7 +401,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             carry_shift = imm - 1
 
             def step():
-                box[0] += fetch()
+                fetch()
                 v = regs[rm]
                 signed = v - 0x100000000 if v & _SIGN else v
                 fl[2] = (signed >> carry_shift) & 1
@@ -396,7 +417,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             combine = _LOGICAL[op]
 
             def step():
-                box[0] += fetch()
+                fetch()
                 r = combine(regs[rd], regs[rm])
                 regs[rd] = r
                 fl[0] = r & _SIGN
@@ -405,7 +426,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.TST:
             def step():
-                box[0] += fetch()
+                fetch()
                 r = regs[rd] & regs[rm]
                 fl[0] = r & _SIGN
                 fl[1] = r == 0
@@ -413,7 +434,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.MVN:
             def step():
-                box[0] += fetch()
+                fetch()
                 r = ~regs[rm] & _MASK
                 regs[rd] = r
                 fl[0] = r & _SIGN
@@ -422,7 +443,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.NEG:
             def step():
-                box[0] += fetch()
+                fetch()
                 b = regs[rm]
                 total = -b
                 r = total & _MASK
@@ -435,7 +456,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.CMP:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rd]
                 b = regs[rm]
                 total = a - b
@@ -448,7 +469,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.CMN:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rd]
                 b = regs[rm]
                 total = a + b
@@ -461,7 +482,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.ADC:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rd]
                 b = regs[rm]
                 total = a + b + (1 if fl[2] else 0)
@@ -475,7 +496,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.SBC:
             def step():
-                box[0] += fetch()
+                fetch()
                 a = regs[rd]
                 b = regs[rm]
                 total = a - b - (0 if fl[2] else 1)
@@ -489,7 +510,8 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.MUL:
             def step():
-                box[0] += fetch() + mul_extra
+                fetch()
+                box[0] += mul_extra
                 r = (regs[rd] * regs[rm]) & _MASK
                 regs[rd] = r
                 fl[0] = r & _SIGN
@@ -500,7 +522,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
         # --- register shifts (runtime amounts) ---
         if op is Op.LSL:
             def step():
-                box[0] += fetch()
+                fetch()
                 amount = regs[rm] & 0xFF
                 v = regs[rd]
                 if amount == 0:
@@ -520,7 +542,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.LSR:
             def step():
-                box[0] += fetch()
+                fetch()
                 amount = regs[rm] & 0xFF
                 v = regs[rd]
                 if amount == 0:
@@ -540,7 +562,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.ASR:
             def step():
-                box[0] += fetch()
+                fetch()
                 amount = regs[rm] & 0xFF
                 v = regs[rd]
                 if amount == 0:
@@ -559,7 +581,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             return step
         if op is Op.ROR:
             def step():
-                box[0] += fetch()
+                fetch()
                 amount = (regs[rm] & 0xFF) % 32
                 v = regs[rd]
                 if amount:
@@ -576,7 +598,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             pool = ((addr + 4) & ~3) + imm
 
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = load4(pool)
                 return nxt
             return step
@@ -584,7 +606,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             value = (((addr + 4) & ~3) + imm) & _MASK
 
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = value
                 return nxt
             return step
@@ -592,25 +614,25 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
         # --- sp-relative ---
         if op is Op.LDRSP:
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = load4(regs[13] + imm)
                 return nxt
             return step
         if op is Op.STRSP:
             def step():
-                box[0] += fetch()
+                fetch()
                 store4(regs[13] + imm, regs[rd])
                 return nxt
             return step
         if op is Op.ADDSPI:
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = (regs[13] + imm) & _MASK
                 return nxt
             return step
         if op is Op.SPADJ:
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[13] = (regs[13] + imm) & _MASK
                 return nxt
             return step
@@ -620,7 +642,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             load = {4: load4, 2: load2, 1: load1}[_LOAD_I[op]]
 
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = load(regs[rn] + imm)
                 return nxt
             return step
@@ -628,7 +650,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             store = {4: store4, 2: store2, 1: store1}[_STORE_I[op]]
 
             def step():
-                box[0] += fetch()
+                fetch()
                 store(regs[rn] + imm, regs[rd])
                 return nxt
             return step
@@ -638,7 +660,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             load = {4: load4, 2: load2, 1: load1}[_LOAD_R[op]]
 
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = load((regs[rn] + regs[rm]) & _MASK)
                 return nxt
             return step
@@ -646,19 +668,19 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             store = {4: store4, 2: store2, 1: store1}[_STORE_R[op]]
 
             def step():
-                box[0] += fetch()
+                fetch()
                 store((regs[rn] + regs[rm]) & _MASK, regs[rd])
                 return nxt
             return step
         if op is Op.LDRSH_R:
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = load2s((regs[rn] + regs[rm]) & _MASK) & _MASK
                 return nxt
             return step
         if op is Op.LDRSB_R:
             def step():
-                box[0] += fetch()
+                fetch()
                 regs[rd] = load1s((regs[rn] + regs[rm]) & _MASK) & _MASK
                 return nxt
             return step
@@ -670,7 +692,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             frame = 4 * (len(reglist) + (1 if with_link else 0))
 
             def step():
-                box[0] += fetch()
+                fetch()
                 sp = regs[13] - frame
                 regs[13] = sp
                 for reg in reglist:
@@ -685,7 +707,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             with_link = instr.with_link
 
             def step():
-                box[0] += fetch()
+                fetch()
                 sp = regs[13]
                 for reg in reglist:
                     regs[reg] = load4(sp)
@@ -705,7 +727,8 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             target = instr.target
 
             def step():
-                box[0] += fetch() + refill
+                fetch()
+                box[0] += refill
                 return target
             return step
         if op is Op.BCC:
@@ -713,31 +736,34 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             test = _cond_test(instr.cond, fl)
             if test is None:  # AL behaves like B
                 def step():
-                    box[0] += fetch() + refill
+                    fetch()
+                    box[0] += refill
                     return target
                 return step
 
             def step():
-                cost = fetch()
+                fetch()
                 if test():
-                    box[0] += cost + refill
+                    box[0] += refill
                     return target
-                box[0] += cost
                 return nxt
             return step
         if op is Op.BL:
             target = instr.target
             ret = addr + 4
-            fetch2 = make_fetch(addr + 2)
+            fetch2 = make_fetch(addr + 2, TAG_FETCH_CONT)
 
             def step():
-                box[0] += fetch() + fetch2() + refill
+                fetch()
+                fetch2()
+                box[0] += refill
                 regs[14] = ret
                 return target
             return step
         if op is Op.BX:
             def step():
-                box[0] += fetch() + refill
+                fetch()
+                box[0] += refill
                 return regs[rm] & ~1
             return step
 
@@ -745,13 +771,15 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
         if op is Op.SWI:
             if imm == 0:
                 def step():
-                    box[0] += fetch() + swi_extra
+                    fetch()
+                    box[0] += swi_extra
                     exit_box[0] = regs[0]
                     return None
                 return step
             if imm == 1:
                 def step():
-                    box[0] += fetch() + swi_extra
+                    fetch()
+                    box[0] += swi_extra
                     value = regs[0]
                     if value & _SIGN:
                         value -= 0x100000000
@@ -760,18 +788,20 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
                 return step
             if imm == 2:
                 def step():
-                    box[0] += fetch() + swi_extra
+                    fetch()
+                    box[0] += swi_extra
                     console.append(chr(regs[0] & 0xFF))
                     return nxt
                 return step
 
             def step():
-                box[0] += fetch() + swi_extra
+                fetch()
+                box[0] += swi_extra
                 raise sim_error(f"unknown swi #{imm} at {addr:#x}")
             return step
         if op is Op.NOP:
             def step():
-                box[0] += fetch()
+                fetch()
                 return nxt
             return step
 
@@ -794,7 +824,7 @@ def compile_program(code, ram, hierarchy, regs, spm_limit, sim_error,
             main_steps[addr - MAIN_BASE] = step
 
     return CompiledProgram(spm_steps, main_steps, box, console, exit_box,
-                           fl, sim_error)
+                           fl, ops, spm_counts, sim_error)
 
 
 _LOGICAL = {

@@ -109,6 +109,12 @@ def ops_view(ops):
     return _np.frombuffer(ops, dtype=_np.uint64)
 
 
+def tag_counts(ops):
+    """Per-tag totals (8 entries) of a packed ``array('Q')`` stream."""
+    tags = (ops_view(ops) & _np.uint64(7)).astype(_np.intp)
+    return tuple(int(n) for n in _np.bincount(tags, minlength=8))
+
+
 def split_stream(values):
     """``(tags, addrs)`` as int64 vectors from packed uint64 values."""
     tags = (values & _np.uint64(7)).astype(_np.int64)

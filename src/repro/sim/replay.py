@@ -1,11 +1,12 @@
-"""Trace replay kernels: re-price a recorded stream under any config.
+"""Trace replay kernels: the simulator's one pricer.
 
 Given a :class:`~repro.sim.trace.Trace` (the image's dynamic access
 stream, recorded once by the execution engine) and a compatible
-:class:`~repro.memory.hierarchy.SystemConfig`, :func:`replay` produces a
-:class:`~repro.sim.simulator.SimResult` bit-identical to re-executing
-the program on that config — same cycles, instruction count, console,
-exit code, and per-level hit/miss statistics — without touching
+:class:`~repro.memory.hierarchy.SystemConfig`, :func:`replay` produces
+the :class:`~repro.sim.simulator.SimResult` of running the program on
+that config — cycles, instruction count, console, exit code, and
+per-level hit/miss statistics, bit-identical to the oracle interpreter
+(:meth:`~repro.sim.simulator.Simulator.run_oracle`) — without touching
 registers, RAM or step closures.  Replay only walks tag arrays, and
 only for the accesses that can actually change state:
 
@@ -416,8 +417,8 @@ def replay_misses(trace: Trace, config: SystemConfig,
     """Per-pc fetch-miss counters served from the trace, no re-execution.
 
     Returns ``(fetch_misses, fetch_main_misses)`` — instruction address
-    -> miss count dicts matching the recording engine's attribution
-    exactly (``simulate(..., record_misses=True)``): both halfword
+    -> miss count dicts matching the oracle's attribution exactly
+    (``simulate_oracle(..., record_misses=True)``): both halfword
     fetches of a 32-bit instruction attribute to the instruction's pc
     (continuation entries carry :data:`~repro.sim.trace.TAG_FETCH_CONT`
     and name ``pc + 2``), and one execution of an instruction counts at

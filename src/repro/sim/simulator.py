@@ -19,24 +19,25 @@ number behaviour
 2      print chr(r0 & 0xff) (console)
 ====== ==========================================
 
-With ``profile=True`` the simulator counts fetches per instruction address
-and data accesses per data address; :mod:`repro.sim.profile` aggregates
-these to per-object counts, which drive the energy-based knapsack exactly
-like the paper's profiling step does.
+There is one executor and one pricer.  :meth:`Simulator.run` executes
+the image once on the flat-array engine (:mod:`repro.sim.engine`),
+which records the dynamic access stream as a
+:class:`~repro.sim.trace.Trace`, and prices that stream under the
+simulator's configuration with :func:`~repro.sim.replay.replay`.  The
+modelled core has no timing feedback, so the stream is the same under
+every configuration and recording needs no cache model.
 
-Two engines execute the same machine model:
-
-* plain timing runs go through the **fast engine**
-  (:mod:`repro.sim.engine`): per-instruction step closures compiled at
-  predecode time, dispatched from a flat array, with plain-int memory
-  costs from the hierarchy's fast path;
-* ``profile=True`` / ``record_misses=True`` runs use the **recording
-  loop** in this module, which allocates per-access outcome objects and
-  per-address counters.
-
-Both report bit-identical cycles, instruction counts, console output and
-cache statistics (``tests/test_sim_fastpath.py`` asserts this for every
-benchmark and hierarchy shape).
+:meth:`Simulator.run_oracle` is the execute layer's independent
+oracle: a separate instruction dispatch over decoded
+:class:`~repro.isa.instruction.Instr` objects that drives the
+:class:`~repro.memory.hierarchy.MemoryHierarchy` ``Access`` path one
+access at a time.  With ``profile=True`` it also counts fetches per
+instruction address and data accesses per data address; with
+``record_misses=True`` it attributes fetch and read misses per pc.  The
+tests hold the executor, the trace-derived profiles
+(:func:`repro.sim.profile.trace_counts`) and
+:func:`~repro.sim.replay.replay_misses` to it bit for bit; no
+production path runs it.
 """
 
 from __future__ import annotations
@@ -78,16 +79,19 @@ class SimResult:
     cache_stats: object = None
     #: level name -> CacheStats for every cache in the hierarchy.
     level_stats: dict = field(default_factory=dict)
-    #: instruction address -> fetch count (profile runs only).
+    # The per-address counters below are filled by oracle runs only
+    # (:meth:`Simulator.run_oracle`); production reads them off traces.
+    #: instruction address -> fetch count (``profile=True``).
     fetch_counts: dict = field(default_factory=dict)
-    #: data address -> access count (profile runs only).
+    #: data address -> access count (``profile=True``).
     data_counts: dict = field(default_factory=dict)
-    #: instruction address -> fetch miss count (cache configs only).
+    #: instruction address -> fetch miss count (``record_misses=True``).
     fetch_misses: dict = field(default_factory=dict)
     #: instruction address -> fetches that missed *every* cache level
-    #: and were served by main memory (cache configs only).
+    #: and were served by main memory (``record_misses=True``).
     fetch_main_misses: dict = field(default_factory=dict)
-    #: instruction address -> data-read miss count (cache configs only).
+    #: instruction address -> data-read miss count
+    #: (``record_misses=True``).
     read_misses: dict = field(default_factory=dict)
 
 
@@ -97,7 +101,6 @@ class Simulator:
     def __init__(self, image: Image, config: SystemConfig):
         self.image = image
         self.config = config
-        self.hierarchy = MemoryHierarchy(config)
         self.ram = bytearray(STACK_TOP)
         for base, payload in image.segments:
             self.ram[base:base + len(payload)] = payload
@@ -105,7 +108,6 @@ class Simulator:
         self._spm_limit = config.spm_size
         self.regs = [0] * 16
         self.n = self.z = self.c = self.v = 0
-        self._engine = None  # compiled lazily on the first fast run
 
     # -- setup ---------------------------------------------------------------
 
@@ -184,57 +186,55 @@ class Simulator:
 
     # -- run -------------------------------------------------------------------
 
-    def run(self, max_steps=50_000_000, profile=False,
-            record_misses=False) -> SimResult:
-        """Run from the image entry point until ``swi #0``.
+    def run(self, max_steps=50_000_000) -> SimResult:
+        """Run from the image entry point until ``swi #0``: record the
+        access stream once, then price it under this configuration."""
+        from .replay import replay  # replay and trace import this module
+        return replay(self.record(max_steps), self.config, max_steps)
 
-        Plain timing runs execute on the compiled fast engine;
-        ``profile=True`` / ``record_misses=True`` runs take the
-        recording loop, which keeps per-address counters.
-        """
-        if profile or record_misses:
-            return self._run_recording(max_steps, profile, record_misses)
-        return self._run_fast(max_steps)
-
-    def _run_fast(self, max_steps) -> SimResult:
-        if self._engine is None:
-            self._engine = compile_program(
-                self.code, self.ram, self.hierarchy, self.regs,
-                self._spm_limit, SimError, MemoryFault)
+    def record(self, max_steps=50_000_000):
+        """Execute once on the engine; the recorded
+        :class:`~repro.sim.trace.Trace`, split at this config's SPM."""
+        from .trace import Trace, tag_counts
+        program = compile_program(self.code, self.ram, self.regs,
+                                  self._spm_limit, SimError, MemoryFault)
         regs = self.regs
         regs[13] = STACK_TOP
         regs[14] = 0
-        engine = self._engine
         # Flags cross the engine boundary in both directions (the engine
         # uses a truthiness encoding internally; see engine docstring).
-        flags = engine.flags
+        flags = program.flags
         flags[0] = _SIGN if self.n else 0
         flags[1] = self.z
         flags[2] = self.c
         flags[3] = _SIGN if self.v else 0
-        cycles, steps, exit_code = engine.run(self.image.entry, max_steps)
+        base_cycles, steps, exit_code = program.run(self.image.entry,
+                                                    max_steps)
         self.n = 1 if flags[0] else 0
         self.z = 1 if flags[1] else 0
         self.c = 1 if flags[2] else 0
         self.v = 1 if flags[3] else 0
-        hierarchy = self.hierarchy
-        hierarchy.flush_fast_stats()
-        return SimResult(
-            cycles=cycles,
-            instructions=steps,
-            exit_code=exit_code,
-            console=list(engine.console),
-            cache_stats=hierarchy.cache_stats,
-            level_stats=hierarchy.level_stats,
-        )
+        return Trace(ops=program.ops, op_counts=tag_counts(program.ops),
+                     spm_counts=tuple(program.spm_counts),
+                     base_cycles=base_cycles, instructions=steps,
+                     exit_code=exit_code, console=tuple(program.console),
+                     spm_size=self._spm_limit)
 
-    def _run_recording(self, max_steps, profile, record_misses) -> SimResult:
+    def run_oracle(self, max_steps=50_000_000, profile=False,
+                   record_misses=False) -> SimResult:
+        """The independent reference run: the recording interpreter
+        over the :class:`MemoryHierarchy` ``Access`` path.
+
+        Reports the same cycles, instructions, console and cache
+        statistics as :meth:`run`, plus per-address counters when
+        *profile* / *record_misses* ask for them.  Tests only.
+        """
         regs = self.regs
         regs[13] = STACK_TOP
         regs[14] = 0
         pc = self.image.entry
         code = self.code
-        hierarchy = self.hierarchy
+        hierarchy = MemoryHierarchy(self.config)
         console = []
         cycles = 0
         steps = 0
@@ -595,3 +595,9 @@ _COND_DISPATCH = {
 def simulate(image: Image, config: SystemConfig, **kwargs) -> SimResult:
     """Convenience wrapper: build a Simulator and run it."""
     return Simulator(image, config).run(**kwargs)
+
+
+def simulate_oracle(image: Image, config: SystemConfig,
+                    **kwargs) -> SimResult:
+    """Convenience wrapper around :meth:`Simulator.run_oracle`."""
+    return Simulator(image, config).run_oracle(**kwargs)

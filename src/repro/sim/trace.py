@@ -8,12 +8,13 @@ that is compatible with the image's placement.  Memory timing decides
 how many cycles each access costs, never which access happens next.
 
 A :class:`Trace` is therefore recorded **once per image** by the flat-
-array execution engine (:mod:`repro.sim.engine` stays the ground truth
-— the recorder is the same compiled program, just with a cost tap that
-appends to the trace instead of probing tag arrays) and then served to
-:mod:`repro.sim.replay`, which re-prices it under any number of
-:class:`~repro.memory.hierarchy.SystemConfig` shapes at tag-array speed,
-bit-identical to re-executing.
+array execution engine (:mod:`repro.sim.engine`, the simulator's one
+executor) and then served to :mod:`repro.sim.replay`, which prices it
+under any number of :class:`~repro.memory.hierarchy.SystemConfig`
+shapes at tag-array speed.  :meth:`~repro.sim.simulator.Simulator.run`
+is exactly one recording plus one replay; this module adds the
+content-addressed cache that lets many configurations share one
+recording.
 
 Contents, packed for tight replay loops:
 
@@ -25,8 +26,9 @@ Contents, packed for tight replay loops:
   (:data:`TAG_FETCH_CONT`), so every fetch entry names the pc of the
   instruction it belongs to — ``addr`` for plain fetches, ``addr - 2``
   for continuations — and replay kernels can attribute misses per
-  instruction exactly like the recording engine does
-  (:func:`~repro.sim.replay.replay_misses`);
+  instruction exactly like the oracle interpreter does
+  (:func:`~repro.sim.replay.replay_misses`), and per-pc profiles count
+  the plain fetch entries (:func:`~repro.sim.profile.trace_counts`);
 * ``op_counts`` / ``spm_counts`` — per-tag totals of the main-memory
   stream and of the SPM-resident accesses.  SPM hits bypass every cache
   level and cost a fixed per-width amount, so they never need to be
@@ -48,18 +50,11 @@ from __future__ import annotations
 from array import array
 
 from ..memory.hierarchy import SystemConfig
-from ..memory.regions import STACK_TOP
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
-from .engine import compile_program
-from .simulator import MemoryFault, SimError, Simulator
-
-#: Access-kind tags in the packed ``ops`` stream (low 3 bits).
-TAG_FETCH = 0
-READ_TAGS = {1: 1, 2: 2, 4: 3}
-WRITE_TAGS = {1: 4, 2: 5, 4: 6}
-#: Fetch of the second halfword of a 32-bit instruction; the owning
-#: instruction's pc is ``addr - 2``.  Priced exactly like TAG_FETCH.
-TAG_FETCH_CONT = 7
+# The engine records straight into this layout; the access-kind tags
+# (low 3 bits of every packed word) are defined next to it.
+from .engine import READ_TAGS, TAG_FETCH, TAG_FETCH_CONT, WRITE_TAGS
+from .simulator import Simulator
 
 #: Tags priced as instruction fetches (16-bit wide).
 FETCH_TAGS = (TAG_FETCH, TAG_FETCH_CONT)
@@ -322,64 +317,15 @@ def _expand_runs(base, heads, packed):
     return ops
 
 
-class _TraceTap:
-    """Hierarchy stand-in for the engine: records accesses at zero cost.
-
-    Exposes the same two factories the engine compiles against
-    (:meth:`fetch_fast_factory` / :meth:`data_fast_ops`); every closure
-    appends the access to the packed stream (or bumps the SPM-resident
-    counter) and returns 0 cycles, so the engine's cycle box accumulates
-    exactly the config-independent base: refills and execute extras.
-    """
-
-    def __init__(self, spm_end: int, cont_addrs=frozenset()):
-        self.spm_end = spm_end
-        self.cont_addrs = cont_addrs
-        self.ops = array("Q")
-        self.spm_counts = [0] * 8
-
-    def fetch_fast_factory(self):
-        spm_end = self.spm_end
-        cont_addrs = self.cont_addrs
-        append = self.ops.append
-        spm_counts = self.spm_counts
-
-        def make(addr):
-            tag = TAG_FETCH_CONT if addr in cont_addrs else TAG_FETCH
-            if 0 <= addr < spm_end:
-                def fetch():
-                    spm_counts[tag] += 1
-                    return 0
-                return fetch
-            packed = (addr << 3) | tag
-
-            def fetch():
-                append(packed)
-                return 0
-            return fetch
-        return make
-
-    def data_fast_ops(self):
-        spm_end = self.spm_end
-        append = self.ops.append
-        spm_counts = self.spm_counts
-        read_tags, write_tags = READ_TAGS, WRITE_TAGS
-
-        def dread(addr, width):
-            if 0 <= addr < spm_end:
-                spm_counts[read_tags[width]] += 1
-            else:
-                append((addr << 3) | read_tags[width])
-            return 0
-
-        def dwrite(addr, width):
-            if 0 <= addr < spm_end:
-                spm_counts[write_tags[width]] += 1
-            else:
-                append((addr << 3) | write_tags[width])
-            return 0
-
-        return dread, dwrite
+def tag_counts(ops) -> tuple:
+    """Per-tag totals (8 entries) of a packed access stream."""
+    from . import kernels
+    if kernels.have_numpy():
+        return kernels.tag_counts(ops)
+    counts = [0] * 8
+    for value in ops:
+        counts[value & 7] += 1
+    return tuple(counts)
 
 
 def record_trace(image, spm_size: int = None,
@@ -395,25 +341,9 @@ def record_trace(image, spm_size: int = None,
         spm_size = _image_spm_size(image)
     config = (SystemConfig.scratchpad(spm_size) if spm_size
               else SystemConfig.uncached())
-    sim = Simulator(image, config)
-    cont_addrs = frozenset(addr + 2 for addr, instr in sim.code.items()
-                           if instr.size == 4)
-    tap = _TraceTap(spm_size, cont_addrs)
-    program = compile_program(sim.code, sim.ram, tap, sim.regs,
-                              sim._spm_limit, SimError, MemoryFault)
-    regs = sim.regs
-    regs[13] = STACK_TOP
-    regs[14] = 0
-    base_cycles, steps, exit_code = program.run(image.entry, max_steps)
-    op_counts = [0] * 8
-    for value in tap.ops:
-        op_counts[value & 7] += 1
+    trace = Simulator(image, config).record(max_steps)
     COUNTERS["trace_records"] += 1
-    return Trace(ops=tap.ops, op_counts=tuple(op_counts),
-                 spm_counts=tuple(tap.spm_counts),
-                 base_cycles=base_cycles, instructions=steps,
-                 exit_code=exit_code, console=tuple(program.console),
-                 spm_size=spm_size)
+    return trace
 
 
 def _image_spm_size(image) -> int:

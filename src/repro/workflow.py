@@ -17,9 +17,10 @@ executable is evaluated under more than one memory timing: the dynamic
 access stream is recorded once per image (:mod:`repro.sim.trace`) and
 re-priced per configuration by the replay kernels
 (:mod:`repro.sim.replay`), with same-geometry cache size sweeps served
-by a single Mattson-style pass (:meth:`Workflow.cache_points`).  Results
-are bit-identical to executing every point (the engine remains the
-recorder and the ground truth).
+by a single Mattson-style pass (:meth:`Workflow.cache_points`).  The
+typical-input profile is read off the same baseline trace the cache
+points replay, so the paper's profiling run and its cache measurements
+share one execution.
 
 Beyond the paper's two branches, the deeper pipelines of
 :mod:`repro.memory.levels` get evaluation points too:
@@ -37,7 +38,7 @@ from .link.linker import link
 from .memory.cache import CacheConfig
 from .memory.hierarchy import SystemConfig
 from .minic.frontend import compile_source
-from .sim.profile import ProgramProfile, build_profile
+from .sim.profile import ProgramProfile, build_profile, trace_counts
 from .sim.replay import (
     grid_geometry,
     replay,
@@ -107,12 +108,12 @@ class Workflow:
         return self._baseline_image
 
     def profile(self) -> ProgramProfile:
-        """Typical-input access profile (drives the energy knapsack)."""
+        """Typical-input access profile (drives the energy knapsack),
+        counted off the baseline trace."""
         if self._profile is None:
-            result = simulate(self.baseline_image(),
-                              SystemConfig.uncached(),
-                              max_steps=self.max_steps, profile=True)
-            self._profile = build_profile(self.baseline_image(), result)
+            image = self.baseline_image()
+            trace = trace_for(image, 0, max_steps=self.max_steps)
+            self._profile = build_profile(image, *trace_counts(trace))
         return self._profile
 
     def warm(self, profile: bool = False) -> "Workflow":

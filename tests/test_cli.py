@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import main
+from repro.link import link
+from repro.memory import CacheConfig, SystemConfig
+from repro.minic import compile_source
+from repro.sim import simulate_oracle
 
 SOURCE = """
 int data[16];
@@ -48,6 +52,23 @@ class TestRun:
     def test_spm_and_cache_conflict(self, source_file, capsys):
         with pytest.raises(SystemExit):
             main(["run", source_file, "--spm", "64", "--cache", "64"])
+
+    def test_record_misses_prints_oracle_hottest(self, source_file,
+                                                 capsys):
+        # Served from the recorded trace; must name the same five
+        # hottest fetch-miss pcs, with the same counts, as the oracle.
+        _code, out = run_cli(capsys, "run", source_file, "--cache", "64",
+                             "--record-misses")
+        image = link(compile_source(SOURCE).program)
+        config = SystemConfig.cached(CacheConfig(size=64))
+        reference = simulate_oracle(image, config, record_misses=True)
+        assert f"# cycles:       {reference.cycles}" in out
+        worst = sorted(reference.fetch_misses.items(),
+                       key=lambda kv: (-kv[1], kv[0]))[:5]
+        assert worst
+        printed = out.split("# hottest fetch-miss addresses:\n")[1]
+        assert printed.splitlines() == [
+            f"#   {addr:#010x}  {count} misses" for addr, count in worst]
 
 
 class TestWcet:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from repro.ilp import Model, Status, solve_lp
+from repro.ilp import Model, Status, solve_ilp, solve_lp
 
 
 class TestModelBuilding:
@@ -129,6 +129,23 @@ class TestBranchAndBound:
                      )
         model.set_objective({x: 1})
         assert model.solve().status == Status.INFEASIBLE
+
+    def test_truncated_search_is_not_optimal(self):
+        # With max_nodes=11 the depth-first search still has open nodes
+        # while holding a 28 incumbent; the optimum is 32.  Reporting
+        # the incumbent as optimal would understate a maximising IPET.
+        weights = [5, 4, 3, 7, 6, 8]
+        values = [10, 7, 5, 13, 11, 15]
+        model = Model(maximize=True)
+        xs = [model.add_var(f"x{i}", hi=1, integer=True)
+              for i in range(len(weights))]
+        model.add_le(dict(zip(xs, weights)), 17)
+        model.set_objective(dict(zip(xs, values)))
+        assert solve_ilp(model, max_nodes=11).status == \
+            Status.ITERATION_LIMIT
+        complete = solve_ilp(model)
+        assert complete.is_optimal
+        assert complete.objective == pytest.approx(32)
 
     def test_lp_relaxation_flag(self):
         model = Model(maximize=True)

@@ -32,7 +32,7 @@ from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
-from repro.sim import Simulator
+from repro.sim import simulate_oracle
 from repro.sim import kernels
 from repro.sim.replay import replay, replay_grid, replay_sweep
 from repro.sim.trace import (READ_TAGS, WRITE_TAGS, Trace, record_trace)
@@ -194,7 +194,7 @@ def test_grid_matches_engine_on_generated_programs(seed):
     for unified in (True, False):
         configs = _grid_configs(unified, sizes=(256, 1024))
         for config, priced in zip(configs, replay_grid(trace, configs)):
-            executed = Simulator(image, config).run()
+            executed = simulate_oracle(image, config)
             _assert_same(priced, executed, (seed, config.name))
             assert priced.exit_code == executed.exit_code
             assert priced.console == executed.console
@@ -350,3 +350,15 @@ def test_recorded_trace_rle_round_trips():
     assert array("Q", clone.ops) == array("Q", trace.ops)
     config = SystemConfig.cached(CacheConfig(size=512))
     _assert_same(replay(clone, config), replay(trace, config), "rle clone")
+
+
+@needs_numpy
+def test_tag_counts_match_scalar_loop():
+    """The bincount that sizes a recorded trace's per-tag totals equals
+    the plain loop it replaces, on native and synthetic streams."""
+    for ops in (_trace(False).ops,
+                _synthetic_trace(random.Random(3)).ops):
+        loop = [0] * 8
+        for value in ops:
+            loop[value & 7] += 1
+        assert kernels.tag_counts(ops) == tuple(loop)

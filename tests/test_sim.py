@@ -9,8 +9,9 @@ from repro.isa.opcodes import Op
 from repro.link import FunctionCode, Program, link
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.regions import MAIN_BASE, STACK_TOP
-from repro.sim import MemoryFault, SimError, Simulator, simulate
-from repro.sim.profile import build_profile
+from repro.sim import (MemoryFault, SimError, Simulator, record_trace,
+                       replay, replay_misses, simulate)
+from repro.sim.profile import build_profile, trace_counts
 
 from .helpers import run_main
 
@@ -166,10 +167,11 @@ class TestCacheIntegration:
         items += [ins.swi(0)]
         program = program_of({"_start": [Label("_start")] + items})
         image = link(program)
-        result = simulate(image, SystemConfig.cached(CacheConfig(size=64)),
-                          record_misses=True)
-        assert sum(result.fetch_misses.values()) == \
-            result.cache_stats.fetch_misses
+        config = SystemConfig.cached(CacheConfig(size=64))
+        trace = record_trace(image, 0)
+        fetch_misses, _main = replay_misses(trace, config)
+        assert sum(fetch_misses.values()) == \
+            replay(trace, config).cache_stats.fetch_misses
 
 
 class TestProfile:
@@ -186,8 +188,8 @@ class TestProfile:
         from repro.minic import compile_source
         compiled = compile_source(source)
         image = link(compiled.program)
-        result = simulate(image, SystemConfig.uncached(), profile=True)
-        profile = build_profile(image, result)
+        profile = build_profile(image,
+                                *trace_counts(record_trace(image, 0)))
         assert profile["bump"].accesses > 0
         assert profile["total"].accesses >= 20   # 10 reads + 10 writes
         assert profile["main"].accesses > profile["bump"].accesses / 10
@@ -197,7 +199,7 @@ class TestProfile:
         image = link(program_of({"_start": [Label("_start"),
                                             ins.swi(0)]}))
         with pytest.raises(ValueError):
-            build_profile(image, result)
+            build_profile(image, result.fetch_counts, result.data_counts)
 
     def test_initial_state(self):
         program = program_of({"_start": [Label("_start"), ins.swi(0)]})

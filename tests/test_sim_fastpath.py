@@ -1,97 +1,63 @@
-"""Differential tests: the fast engine vs. the recording loop.
+"""Differential tests: the executor vs. the oracle interpreter.
 
-The simulator keeps two interpreters over one machine model — the
-compiled step-closure engine (:mod:`repro.sim.engine`) for plain timing
-runs and the recording loop for ``profile``/``record_misses`` runs.
-These tests run **every registered benchmark** through **every hierarchy
-shape** (uncached, scratchpad, L1, hybrid SPM+L1, L1+L2, split I/D, plus
-a set-associative and an instruction-only L1) on both engines and assert
-the observable results are identical: cycles, instruction counts, exit
-codes, console output, and per-level hit/miss statistics.
+:meth:`Simulator.run` executes once on the compiled step-closure engine
+(:mod:`repro.sim.engine`), recording the access trace, and prices the
+trace with :func:`~repro.sim.replay.replay`.  The oracle
+(:meth:`Simulator.run_oracle`) is an independent instruction dispatch
+over the :class:`~repro.memory.hierarchy.MemoryHierarchy` access path.
+These tests run **every registered benchmark** through **every
+hierarchy shape** (uncached, scratchpad, L1 under LRU/FIFO/random
+replacement, set-associative and instruction-only L1, hybrid SPM+L1,
+L1+L2, split I/D) and assert the observable results are identical:
+cycles, instruction counts, exit codes, console output, and per-level
+hit/miss statistics.  They also hold the trace-derived profiles the
+energy knapsack consumes to the oracle's per-address counters.
 """
 
 import pytest
 
-from repro.benchmarks import BENCHMARKS, get
+from repro.benchmarks import BENCHMARKS
 from repro.isa.opcodes import Cond
-from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
-from repro.minic import compile_source
-from repro.sim import Simulator
+from repro.sim import Simulator, build_profile, record_trace, trace_counts
 from repro.sim.simulator import _COND_DISPATCH
 
-SPM_SIZE = 512
-
-SHAPES = {
-    "uncached": lambda: SystemConfig.uncached(),
-    "spm": lambda: SystemConfig.scratchpad(SPM_SIZE),
-    "l1": lambda: SystemConfig.cached(CacheConfig(size=512)),
-    "l1-2way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=2)),
-    "icache": lambda: SystemConfig.cached(
-        CacheConfig(size=512, unified=False)),
-    "hybrid": lambda: SystemConfig.hybrid(SPM_SIZE, CacheConfig(size=256)),
-    "l1+l2": lambda: SystemConfig.two_level(
-        CacheConfig(size=256), CacheConfig(size=1024)),
-    "split-i/d": lambda: SystemConfig.split_l1(
-        CacheConfig(size=256, unified=False), CacheConfig(size=256)),
-}
-
-_PROGRAMS = {}
-_IMAGES = {}
-
-
-def _program(bench):
-    if bench not in _PROGRAMS:
-        _PROGRAMS[bench] = compile_source(get(bench).source()).program
-    return _PROGRAMS[bench]
-
-
-def _image(bench, spm: bool):
-    """Linked image; with *spm*, smallest objects fill the scratchpad."""
-    key = (bench, spm)
-    if key not in _IMAGES:
-        program = _program(bench)
-        if not spm:
-            _IMAGES[key] = link(program)
-        else:
-            chosen, used = [], 0
-            for name, _kind, size in sorted(program.memory_objects(),
-                                            key=lambda o: (o[2], o[0])):
-                aligned = (size + 3) & ~3
-                if used + aligned <= SPM_SIZE:
-                    chosen.append(name)
-                    used += aligned
-            _IMAGES[key] = link(program, spm_size=SPM_SIZE,
-                                spm_objects=chosen)
-    return _IMAGES[key]
-
-
-def _stats_tuple(stats):
-    return (stats.fetch_hits, stats.fetch_misses, stats.read_hits,
-            stats.read_misses, stats.write_hits, stats.write_misses)
+from .helpers import SHAPES, assert_same_result, oracle, suite_image
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
 def test_engines_agree(bench, shape):
     config = SHAPES[shape]()
-    image = _image(bench, spm=bool(config.spm_size))
+    image = suite_image(bench, spm=bool(config.spm_size))
+    executed = Simulator(image, config).run()
+    assert_same_result(executed, oracle(bench, shape), (bench, shape))
 
-    fast = Simulator(image, config).run()
-    recorded = Simulator(image, config).run(record_misses=True)
 
-    assert fast.cycles == recorded.cycles
-    assert fast.instructions == recorded.instructions
-    assert fast.exit_code == recorded.exit_code
-    assert fast.console == recorded.console
-    assert set(fast.level_stats) == set(recorded.level_stats)
-    for level in fast.level_stats:
-        assert _stats_tuple(fast.level_stats[level]) == \
-            _stats_tuple(recorded.level_stats[level]), level
+@pytest.mark.parametrize("bench", sorted(BENCHMARKS))
+def test_trace_profile_matches_oracle(bench):
+    """Per-pc fetch and per-address data counts off the baseline trace
+    equal the oracle's profile run, and so do the folded profiles."""
+    image = suite_image(bench, spm=False)
+    reference = oracle(bench, "uncached")
+    fetch_counts, data_counts = trace_counts(record_trace(image, 0))
+    assert fetch_counts == dict(reference.fetch_counts)
+    assert data_counts == dict(reference.data_counts)
+    ours = build_profile(image, fetch_counts, data_counts)
+    theirs = build_profile(image, reference.fetch_counts,
+                           reference.data_counts)
+    assert ours.objects == theirs.objects
+
+
+def test_trace_profile_needs_an_unsplit_trace():
+    trace = record_trace(suite_image("crc", spm=True), 512)
+    assert any(trace.spm_counts)
+    with pytest.raises(ValueError, match="SPM"):
+        trace_counts(trace)
 
 
 def test_fast_engine_reports_no_recording_fields():
-    image = _image("crc", spm=False)
+    image = suite_image("crc", spm=False)
     result = Simulator(image, SystemConfig.cached(CacheConfig(size=512))
                        ).run()
     assert result.fetch_counts == {}
@@ -101,7 +67,7 @@ def test_fast_engine_reports_no_recording_fields():
 def test_flags_visible_after_fast_run():
     # The engine keeps flags in its own encoding; the simulator must
     # translate them back to the documented 0/1 attributes.
-    image = _image("crc", spm=False)
+    image = suite_image("crc", spm=False)
     sim = Simulator(image, SystemConfig.uncached())
     sim.run()
     assert all(flag in (0, 1) for flag in (sim.n, sim.z, sim.c, sim.v))

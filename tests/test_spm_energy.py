@@ -8,8 +8,8 @@ from repro.energy import EnergyModel, cache_access_energy_nj, \
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.sim import simulate
-from repro.sim.profile import build_profile
+from repro.sim import record_trace, simulate_oracle
+from repro.sim.profile import build_profile, trace_counts
 from repro.spm import (
     Item,
     allocate_energy_optimal,
@@ -74,8 +74,8 @@ int main(void) {
 def profiled():
     compiled = compile_source(SOURCE)
     image = link(compiled.program)
-    result = simulate(image, SystemConfig.uncached(), profile=True)
-    return compiled, image, build_profile(image, result)
+    counts = trace_counts(record_trace(image, 0))
+    return compiled, image, build_profile(image, *counts)
 
 
 class TestEnergyAllocation:
@@ -173,16 +173,17 @@ class TestEnergyModel:
 
     def test_program_energy_drops_with_spm(self):
         compiled, image, profile = profiled()
-        result_main = simulate(image, SystemConfig.uncached(),
-                               profile=True)
+        result_main = simulate_oracle(image, SystemConfig.uncached(),
+                                      profile=True)
         energy_main = program_energy_nj(image, result_main)
 
         names = {f.name for f in compiled.program.functions}
         names |= {g.name for g in compiled.program.globals}
         spm_image = link(compiled.program, spm_size=4096,
                          spm_objects=names)
-        result_spm = simulate(spm_image, SystemConfig.scratchpad(4096),
-                              profile=True)
+        result_spm = simulate_oracle(spm_image,
+                                     SystemConfig.scratchpad(4096),
+                                     profile=True)
         energy_spm = program_energy_nj(spm_image, result_spm)
         assert energy_spm < energy_main
 

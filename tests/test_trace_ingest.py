@@ -33,7 +33,7 @@ from repro.sim import (
     load_trace,
     parse_trace,
     record_trace,
-    simulate,
+    simulate_oracle,
 )
 from repro.sim.ingest import save_trace
 from repro.sim.replay import replay, replay_misses, replay_sweep
@@ -327,7 +327,7 @@ def test_ingested_trace_rejects_mismatched_spm_config():
 
 
 def test_roundtrip_of_generated_program(tmp_path):
-    """gen -> trace -> export -> ingest -> replay == simulate."""
+    """gen -> trace -> export -> ingest -> replay == the oracle."""
     from repro.gen import generate
     program = generate(23, "small")
     image = link(compile_source(program.source).program)
@@ -337,4 +337,5 @@ def test_roundtrip_of_generated_program(tmp_path):
     parsed = load_trace(path)
     _assert_traces_equal(parsed, original)
     config = SystemConfig.cached(CacheConfig(size=128))
-    _assert_same_result(replay(parsed, config), simulate(image, config))
+    _assert_same_result(replay(parsed, config),
+                        simulate_oracle(image, config))

@@ -1,11 +1,12 @@
-"""Trace-driven replay vs. the execution engine, bit for bit.
+"""Trace-driven replay vs. the oracle interpreter, bit for bit.
 
 Three layers of evidence that replay is exact:
 
 * a **differential suite** records each benchmark's trace once and
   replays it under every committed hierarchy shape, asserting the full
   ``SimResult`` (cycles, instructions, exit code, console, per-level
-  stats) equals executing on the engine;
+  stats) equals the oracle's run (:func:`repro.sim.simulate_oracle`),
+  and that per-pc miss attribution does too;
 * a **randomized property test** for the single-pass Mattson kernel:
   synthetic traces with adversarial reuse/write patterns must yield the
   same hit counts and cycles from ``replay_sweep`` as from per-size
@@ -20,12 +21,12 @@ from array import array
 
 import pytest
 
-from repro.benchmarks import BENCHMARKS, get
+from repro.benchmarks import BENCHMARKS
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
-from repro.sim import SimError, Simulator, simulate
+from repro.sim import SimError, Simulator, simulate_oracle
 from repro.sim import trace as trace_mod
 from repro.sim.replay import (replay, replay_misses, replay_sweep,
                               sweep_geometry)
@@ -41,6 +42,9 @@ from repro.sim.trace import (
 from repro.sim import kernels
 from repro.workflow import Workflow
 
+from .helpers import SHAPES, SPM_SIZE, oracle, suite_image
+from .helpers import assert_same_result as _assert_same
+
 #: Workflow pricing runs the IPET LP, which has a hard numpy
 #: dependency — unlike replay itself, which falls back to the scalar
 #: kernels (the numpy-less CI job runs this module).
@@ -48,84 +52,15 @@ needs_lp = pytest.mark.skipif(not kernels.have_numpy(),
                               reason="WCET pricing needs the numpy "
                                      "LP solver")
 
-SPM_SIZE = 512
-
-#: Every committed hierarchy shape (the test_sim_fastpath set plus the
-#: non-LRU policies, which exercise the generic replay walk).
-SHAPES = {
-    "uncached": lambda: SystemConfig.uncached(),
-    "spm": lambda: SystemConfig.scratchpad(SPM_SIZE),
-    "l1": lambda: SystemConfig.cached(CacheConfig(size=512)),
-    "l1-2way": lambda: SystemConfig.cached(CacheConfig(size=512, assoc=2)),
-    "l1-fifo": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=2, replacement="fifo")),
-    "l1-random": lambda: SystemConfig.cached(
-        CacheConfig(size=512, assoc=4, replacement="random")),
-    "icache": lambda: SystemConfig.cached(
-        CacheConfig(size=512, unified=False)),
-    "hybrid": lambda: SystemConfig.hybrid(SPM_SIZE, CacheConfig(size=256)),
-    "l1+l2": lambda: SystemConfig.two_level(
-        CacheConfig(size=256), CacheConfig(size=1024)),
-    "split-i/d": lambda: SystemConfig.split_l1(
-        CacheConfig(size=256, unified=False), CacheConfig(size=256)),
-}
-
-_PROGRAMS = {}
-_IMAGES = {}
 _TRACES = {}
-
-
-def _program(bench):
-    if bench not in _PROGRAMS:
-        _PROGRAMS[bench] = compile_source(get(bench).source()).program
-    return _PROGRAMS[bench]
-
-
-def _image(bench, spm: bool):
-    key = (bench, spm)
-    if key not in _IMAGES:
-        program = _program(bench)
-        if not spm:
-            _IMAGES[key] = link(program)
-        else:
-            chosen, used = [], 0
-            for name, _kind, size in sorted(program.memory_objects(),
-                                            key=lambda o: (o[2], o[0])):
-                aligned = (size + 3) & ~3
-                if used + aligned <= SPM_SIZE:
-                    chosen.append(name)
-                    used += aligned
-            _IMAGES[key] = link(program, spm_size=SPM_SIZE,
-                                spm_objects=chosen)
-    return _IMAGES[key]
 
 
 def _trace(bench, spm: bool):
     key = (bench, spm)
     if key not in _TRACES:
-        _TRACES[key] = record_trace(_image(bench, spm),
+        _TRACES[key] = record_trace(suite_image(bench, spm),
                                     SPM_SIZE if spm else 0)
     return _TRACES[key]
-
-
-def _stats_tuple(stats):
-    if stats is None:
-        return None
-    return (stats.fetch_hits, stats.fetch_misses, stats.read_hits,
-            stats.read_misses, stats.write_hits, stats.write_misses)
-
-
-def _assert_same(replayed, executed, context):
-    assert replayed.cycles == executed.cycles, context
-    assert replayed.instructions == executed.instructions, context
-    assert replayed.exit_code == executed.exit_code, context
-    assert replayed.console == executed.console, context
-    assert _stats_tuple(replayed.cache_stats) == \
-        _stats_tuple(executed.cache_stats), context
-    assert set(replayed.level_stats) == set(executed.level_stats), context
-    for level in executed.level_stats:
-        assert _stats_tuple(replayed.level_stats[level]) == \
-            _stats_tuple(executed.level_stats[level]), (context, level)
 
 
 # -- differential: every benchmark × every committed shape -------------------
@@ -134,11 +69,8 @@ def _assert_same(replayed, executed, context):
 @pytest.mark.parametrize("bench", sorted(BENCHMARKS))
 def test_replay_matches_engine(bench, shape):
     config = SHAPES[shape]()
-    spm = bool(config.spm_size)
-    image = _image(bench, spm)
-    executed = Simulator(image, config).run()
-    replayed = replay(_trace(bench, spm), config)
-    _assert_same(replayed, executed, (bench, shape))
+    replayed = replay(_trace(bench, bool(config.spm_size)), config)
+    _assert_same(replayed, oracle(bench, shape), (bench, shape))
 
 
 def test_sweep_matches_engine_and_per_size_replay():
@@ -152,7 +84,8 @@ def test_sweep_matches_engine_and_per_size_replay():
             _assert_same(from_sweep, replay(trace, config),
                          (config.name, unified))
             _assert_same(from_sweep,
-                         simulate(_image("crc", False), config),
+                         simulate_oracle(suite_image("crc", False),
+                                         config),
                          (config.name, unified))
 
 
@@ -250,7 +183,7 @@ def fresh_trace_cache():
 def test_trace_cache_hits_and_invalidation(fresh_trace_cache):
     counters = fresh_trace_cache
     counters.update(trace_hits=0, trace_misses=0, trace_records=0)
-    image = _image("crc", spm=False)
+    image = suite_image("crc", spm=False)
     first = trace_for(image, 0)
     assert counters["trace_misses"] == 1
     assert trace_for(image, 0) is first
@@ -258,7 +191,7 @@ def test_trace_cache_hits_and_invalidation(fresh_trace_cache):
     assert counters["trace_records"] == 1
     # A different placement of the same program is a different image
     # content key: the cache must re-record, not serve a stale stream.
-    other = trace_for(_image("crc", spm=True), SPM_SIZE)
+    other = trace_for(suite_image("crc", spm=True), SPM_SIZE)
     assert counters["trace_records"] == 2
     assert other.spm_size == SPM_SIZE
     assert sum(other.spm_counts) > 0
@@ -267,7 +200,7 @@ def test_trace_cache_hits_and_invalidation(fresh_trace_cache):
 def test_trace_disk_layer_roundtrip(tmp_path, fresh_trace_cache):
     counters = fresh_trace_cache
     set_trace_cache_dir(tmp_path)
-    image = _image("adpcm", spm=False)
+    image = suite_image("adpcm", spm=False)
     counters.update(trace_hits=0, trace_misses=0, trace_disk_hits=0,
                     trace_records=0)
     first = trace_for(image, 0)
@@ -332,10 +265,11 @@ def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
     assert counters["sweep_passes"] == 1
     for plain, persist in zip(points, persisted):
         assert persist.sim is plain.sim
-    # Every replayed sim matches executing the point on the engine.
+    # Every replayed sim matches the oracle's run of the point.
     for point in points:
         _assert_same(point.sim,
-                     simulate(point.image, point.config), point.config.name)
+                     simulate_oracle(point.image, point.config),
+                     point.config.name)
 
 
 @needs_lp
@@ -361,7 +295,8 @@ def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
     assert counters["replay_runs"] == 0
     for point in points:
         _assert_same(point.sim,
-                     simulate(point.image, point.config), point.config.name)
+                     simulate_oracle(point.image, point.config),
+                     point.config.name)
 
 
 @needs_lp
@@ -378,7 +313,7 @@ MISS_BENCHES = ("crc", "matmult", "fir")
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("bench", MISS_BENCHES)
 def test_replay_misses_matches_recording_engine(bench, shape):
-    """replay_misses == simulate(record_misses=True), per pc, per shape.
+    """replay_misses == the oracle's record_misses counters, per pc.
 
     The trace carries the owning pc of every fetch (continuation entries
     are tagged TAG_FETCH_CONT), so the per-instruction miss attribution
@@ -386,7 +321,7 @@ def test_replay_misses_matches_recording_engine(bench, shape):
     recorded stream without re-executing."""
     spm = shape in ("spm", "hybrid")
     config = SHAPES[shape]()
-    executed = Simulator(_image(bench, spm), config).run(record_misses=True)
+    executed = oracle(bench, shape)
     fetch, main = replay_misses(_trace(bench, spm), config)
     context = f"{bench}/{shape}"
     assert fetch == dict(executed.fetch_misses), context
@@ -395,7 +330,7 @@ def test_replay_misses_matches_recording_engine(bench, shape):
 
 def test_replay_misses_attributes_bl_continuations():
     """A missing second halfword of BL counts once, at the call's pc."""
-    image = _image("crc", False)
+    image = suite_image("crc", False)
     trace = _trace("crc", False)
     bl_pcs = {addr for addr, instr in Simulator(
         image, SystemConfig.uncached()).code.items() if instr.size == 4}
@@ -463,7 +398,7 @@ def test_write_heavy_sweep_matches_per_size_replay(fresh_trace_cache):
         swept = replay_sweep(trace, configs)
         for config, result in zip(configs, swept):
             _assert_same(result, replay(trace, config), config.name)
-            _assert_same(result, simulate(image, config), config.name)
+            _assert_same(result, simulate_oracle(image, config), config.name)
 
 
 def test_write_heavy_generated_program_sweep(fresh_trace_cache):
@@ -483,5 +418,5 @@ def test_write_heavy_generated_program_sweep(fresh_trace_cache):
     configs = [SystemConfig.cached(CacheConfig(size=size))
                for size in sizes]
     for config, result in zip(configs, replay_sweep(trace, configs)):
-        _assert_same(result, simulate(image, config), config.name)
+        _assert_same(result, simulate_oracle(image, config), config.name)
         assert result.exit_code == program.expected_exit

@@ -5,7 +5,7 @@ import pytest
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.sim import simulate
+from repro.sim import simulate_oracle
 from repro.wcet import AH, FM, NC, CacheAnalysis, build_all_cfgs
 from repro.wcet.analyzer import analyze_wcet
 from repro.wcet.cacheanalysis import MayCache, MustCache, analyze_hierarchy
@@ -162,8 +162,8 @@ class TestSoundness:
         cache = CacheConfig(size=size)
         result = CacheAnalysis(image, cfgs, cache, rng, "_start").run()
 
-        sim = simulate(image, SystemConfig.cached(cache),
-                       record_misses=True)
+        sim = simulate_oracle(image, SystemConfig.cached(cache),
+                              record_misses=True)
         for addr, entry in result.classes.items():
             if entry.fetch == AH:
                 assert sim.fetch_misses.get(addr, 0) == 0, hex(addr)
@@ -253,7 +253,7 @@ class TestMultiLevelChaining:
                                         CacheConfig(size=2048))
         image, result = self.hierarchy_result(config)
         _level, l2res = result.fetch_results()[1]
-        sim = simulate(image, config, record_misses=True)
+        sim = simulate_oracle(image, config, record_misses=True)
         # An L2-AH fetch may miss L1 but is guaranteed present in L2:
         # the observed access must never fall through to main memory.
         l2_ah = [addr for addr, entry in l2res.classes.items()
