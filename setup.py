@@ -8,6 +8,10 @@ The mini-C benchmark programs under ``repro/benchmarks/sources/*.mc`` are
 data files read through :mod:`importlib.resources` at runtime
 (:meth:`repro.benchmarks.suite.Benchmark.source`), so they must ship inside
 the package via ``package_data`` — not only in the source tree.
+
+numpy is a hard requirement: the LP solver behind the WCET analysis
+(:mod:`repro.ilp.simplex`) raises without it.  The replay kernels alone
+would fall back to their scalar walks.
 """
 
 from setuptools import find_namespace_packages, setup
@@ -20,6 +24,7 @@ setup(
         "for Time Constrained Embedded Software' (Wehmeyer & Marwedel, 2005)"
     ),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     package_dir={"": "src"},
     packages=find_namespace_packages("src"),
     package_data={"repro.benchmarks": ["sources/*.mc"]},

@@ -57,8 +57,8 @@ from .memory.levels import CacheLevel, MainMemoryLevel, SpmLevel
 from .minic.frontend import compile_source
 from .sim.profile import build_profile, trace_counts
 from .sim.replay import replay, replay_misses
-from .sim.simulator import SimError, simulate
-from .sim.trace import trace_counters, trace_for
+from .sim.simulator import SimError
+from .sim.trace import placed_trace, trace_counters, trace_for
 from .spm.allocator import allocate_energy_optimal
 from .spm.wcet_driven import allocate_wcet_driven
 from .wcet.analyzer import analyze_wcet
@@ -161,13 +161,14 @@ def _config_for(args) -> SystemConfig:
 
 
 def _build(args):
-    """(image, config) for the requested memory system."""
+    """(image, config, baseline): the requested placement plus the
+    all-in-main-memory image of the same program."""
     with open(args.source) as handle:
         compiled = compile_source(handle.read(), entry=args.entry)
     config = _config_for(args)
+    baseline = link(compiled.program)
     if args.spm:
         if args.alloc == "energy":
-            baseline = link(compiled.program)
             profile = build_profile(
                 baseline, *trace_counts(trace_for(baseline, 0)))
             allocation = allocate_energy_optimal(compiled.program,
@@ -179,8 +180,17 @@ def _build(args):
                                               baseline_config=backing)
         image = link(compiled.program, spm_size=args.spm,
                      spm_objects=allocation.objects)
-        return image, config
-    return link(compiled.program), config
+        return image, config, baseline
+    return baseline, config, baseline
+
+
+def _traced(args):
+    """(image, config, trace): the program is recorded once in its
+    baseline layout; an ``--spm`` placement relocates that recording."""
+    image, config, baseline = _build(args)
+    if image is baseline:
+        return image, config, trace_for(image, 0)
+    return image, config, placed_trace(baseline, image, config.spm_size)
 
 
 def _print_result(result, config):
@@ -202,8 +212,7 @@ def _print_result(result, config):
 
 
 def cmd_run(args):
-    image, config = _build(args)
-    trace = trace_for(image, config.spm_size)
+    _image, config, trace = _traced(args)
     result = replay(trace, config)
     for line in result.console:
         print(line)
@@ -231,8 +240,7 @@ def _print_trace_summary(trace, heading):
 
 
 def cmd_trace(args):
-    image, config = _build(args)
-    trace = trace_for(image, config.spm_size)
+    _image, config, trace = _traced(args)
     if args.export:
         from .sim.ingest import save_trace
         save_trace(trace, args.export)
@@ -336,7 +344,7 @@ def cmd_sweep(args):
 
 
 def cmd_wcet(args):
-    image, config = _build(args)
+    image, config, _baseline = _build(args)
     result = analyze_wcet(image, config, persistence=args.persistence)
     print(result.report())
     lo, hi = result.stack_range
@@ -362,8 +370,8 @@ def cmd_wcet(args):
 
 
 def cmd_compare(args):
-    image, config = _build(args)
-    sim = simulate(image, config)
+    image, config, trace = _traced(args)
+    sim = replay(trace, config)
     wcet = analyze_wcet(image, config, persistence=args.persistence)
     print(f"{config.describe()}")
     print(f"  simulated (typical input): {sim.cycles:>12} cycles")
@@ -373,13 +381,13 @@ def cmd_compare(args):
 
 
 def cmd_map(args):
-    image, _config = _build(args)
+    image, _config, _baseline = _build(args)
     print(image.map_report())
     return 0
 
 
 def cmd_disasm(args):
-    image, _config = _build(args)
+    image, _config, _baseline = _build(args)
     cfgs = build_all_cfgs(image)
     for obj in sorted(image.code_objects, key=lambda o: o.base):
         print(f"\n{obj.name}:  ; {obj.region} @ {obj.base:#x}, "
@@ -397,7 +405,7 @@ def cmd_disasm(args):
 
 
 def cmd_annotations(args):
-    image, config = _build(args)
+    image, config, _baseline = _build(args)
     print(format_annotations(generate_annotations(image, config)), end="")
     return 0
 

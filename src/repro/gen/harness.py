@@ -12,7 +12,10 @@ increasing depth:
    oracle interpreter (:func:`repro.sim.simulate_oracle`) bit for bit
    (cycles, instructions, exit, console, per-level stats) on every
    hierarchy shape, and with ``misses=True`` down to per-pc fetch-miss
-   attribution (:func:`repro.sim.replay.replay_misses`);
+   attribution (:func:`repro.sim.replay.replay_misses`); for an SPM
+   placement (:func:`check_spm_placement`) the *relocated* baseline
+   recording (:func:`repro.sim.trace.relocate`) must reproduce the
+   oracle run of the placed image, pure SPM and with a cache behind;
 3. **WCET soundness** — the static bound dominates the simulated cycle
    count on every shape (the paper's core invariant);
 4. **abstract-domain differential** — with ``domains=True`` the packed
@@ -29,16 +32,17 @@ from __future__ import annotations
 from ..link import link
 from ..memory import CacheConfig, SystemConfig
 from ..minic import compile_source
-from ..sim import simulate, simulate_oracle
+from ..sim import simulate_oracle
 from ..sim.replay import replay, replay_misses
-from ..sim.trace import record_trace
+from ..sim.trace import RelocationError, record_trace, relocate
 from ..wcet import analyze_wcet
 from .progen import GeneratedProgram, generate
 
 #: The default hierarchy shapes every fuzzed program is priced under —
 #: small and low-associativity on purpose, so generated working sets
-#: actually conflict.  (The SPM shape runs separately: it needs its own
-#: placement and trace, see :func:`check_spm_placement`.)
+#: actually conflict.  (The SPM shapes run separately: they need their
+#: own placement, whose trace is relocated from the baseline recording,
+#: see :func:`check_spm_placement`.)
 DEFAULT_SHAPES = (
     ("uncached", lambda: SystemConfig.uncached()),
     ("l1-64", lambda: SystemConfig.cached(CacheConfig(size=64))),
@@ -138,11 +142,14 @@ def check_seed(seed: int, size: str = "small", shapes=DEFAULT_SHAPES,
 
 def check_spm_placement(program: GeneratedProgram,
                         spm_size: int = 256) -> dict:
-    """Greedy SPM placement: values preserved, never slower, bounded."""
+    """Greedy SPM placement: values preserved, never slower, bounded,
+    and the relocated baseline recording prices the placed image like
+    executing it does (pure SPM, and SPM with a cache behind it)."""
     hint = _repro_hint(program)
     compiled = compile_source(program.source)
     baseline = link(compiled.program)
-    reference = simulate(baseline, SystemConfig.uncached())
+    recording = record_trace(baseline, 0)
+    reference = replay(recording, SystemConfig.uncached())
     chosen, used = [], 0
     for name, _kind, size in sorted(compiled.program.memory_objects(),
                                     key=lambda o: (o[2], o[0])):
@@ -165,8 +172,16 @@ def check_spm_placement(program: GeneratedProgram,
     _expect(bound.wcet >= placed.cycles,
             f"UNSOUND: WCET {bound.wcet} < simulated {placed.cycles} "
             f"[{context}]")
-    trace = record_trace(image, spm_size)
+    try:
+        trace = relocate(recording, baseline, image, spm_size)
+    except RelocationError as error:
+        raise SoundnessFailure(
+            f"relocation refused a generated program: {error} "
+            f"[{context}]") from None
     _same_result(replay(trace, config), placed, context)
+    hybrid = SystemConfig.hybrid(spm_size, CacheConfig(size=256))
+    _same_result(replay(trace, hybrid), simulate_oracle(image, hybrid),
+                 f"spm={spm_size}+cache256 {hint}")
     return {"seed": program.seed, "spm": spm_size,
             "cycles": placed.cycles, "baseline": reference.cycles}
 

@@ -129,7 +129,11 @@ def main(argv=None) -> int:
     print(f"repro-serve: pid {os.getpid()} listening on "
           f"{' '.join(daemon.addresses())} ({args.workers} workers, "
           f"queue depth {args.queue_depth})", flush=True)
-    stop.wait()
+    # Any thread may take the signal, and CPython runs the handler only
+    # when the main thread next executes bytecode: an untimed wait can
+    # sleep through SIGTERM, so wake up periodically to let it run.
+    while not stop.wait(timeout=0.2):
+        pass
     print("repro-serve: draining", flush=True)
     drained = daemon.drain(args.drain_timeout)
     flush_stats(daemon, path=args.stats_json)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 
 from ..store import LRUCache
@@ -36,6 +37,43 @@ from ..store import LRUCache
 #: Inline-source workflows, keyed by source sha256 (bounded: a serve
 #: worker is long-lived and clients may stream arbitrary programs).
 _SOURCE_WORKFLOWS = LRUCache(capacity=32)
+
+
+#: ``prctl`` option asking the kernel to signal us when our parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent():
+    """Make this worker receive SIGTERM when the daemon that forked it
+    dies, so a SIGKILLed daemon leaves no orphaned worker behind.
+
+    Linux only (``prctl(PR_SET_PDEATHSIG)``); a no-op elsewhere.  The
+    signal fires when the forking *thread* exits, which for a serve
+    pool is the thread that started the daemon or the pool's scheduler
+    thread — both outlive the workers.  A daemon that died between the
+    fork and the ``prctl`` call is caught by re-checking the parent
+    pid: an orphan has been re-parented and exits at once.  The
+    daemon's own SIGTERM handler (drain) is inherited through the fork,
+    so the worker restores the default action first.  Outside a worker
+    process (no multiprocessing parent) nothing changes.
+    """
+    import multiprocessing
+    parent = multiprocessing.parent_process()
+    if parent is None or not sys.platform.startswith("linux"):
+        return
+    import ctypes
+    import signal
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        if prctl(_PR_SET_PDEATHSIG, int(signal.SIGTERM), 0, 0, 0):
+            return
+    except (OSError, AttributeError):
+        return
+    if os.getppid() != parent.pid:
+        os._exit(1)
 
 
 def serve_worker_init(cache_dir=None, warm_keys=(), shard_dirs=(),
@@ -53,6 +91,7 @@ def serve_worker_init(cache_dir=None, warm_keys=(), shard_dirs=(),
     cluster deployment, where every daemon mounts the same shard set
     and a lost shard only loses the keys it owned.
     """
+    _die_with_parent()
     from ..experiments import common
     common.set_jobs(1)  # serve workers never nest their own pools
     if shard_dirs:

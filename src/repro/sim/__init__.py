@@ -3,8 +3,10 @@
 One executor and one pricer:
 
 * **execute** — the compiled flat-array engine (:mod:`repro.sim.engine`)
-  runs the program once per image and records its config-independent
-  access trace (:mod:`repro.sim.trace`);
+  records each program's config-independent access trace
+  (:mod:`repro.sim.trace`): recorded once per program; placements are
+  relocated (:func:`relocate` derives the trace of any SPM or hybrid
+  placement from the baseline recording);
 * **replay** — the replay kernels (:mod:`repro.sim.replay`) price that
   trace under any number of configurations, including whole size
   sweeps in a single pass.  :func:`simulate` is one recording plus one
@@ -34,9 +36,12 @@ from .replay import (
     sweep_geometry,
 )
 from .trace import (
+    RelocationError,
     Trace,
     clear_trace_caches,
+    placed_trace,
     record_trace,
+    relocate,
     set_trace_cache_dir,
     trace_counters,
     trace_for,
@@ -50,7 +55,8 @@ __all__ = [
     "active_kernel", "have_numpy", "set_kernel",
     "grid_geometry", "replay", "replay_grid", "replay_misses",
     "replay_sweep", "sweep_geometry",
-    "Trace", "clear_trace_caches", "record_trace", "set_trace_cache_dir",
-    "trace_counters", "trace_for",
+    "RelocationError", "Trace", "clear_trace_caches", "placed_trace",
+    "record_trace", "relocate", "set_trace_cache_dir", "trace_counters",
+    "trace_for",
     "TraceFormatError", "dump_trace", "load_trace", "parse_trace",
 ]

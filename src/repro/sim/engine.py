@@ -1,8 +1,11 @@
 """Flat-array threaded-code execution engine: the simulator's executor.
 
-Every simulation executes here exactly once per image and records the
-program's dynamic access stream; :mod:`repro.sim.replay` then prices
-that stream under any memory configuration.  The modelled core has no
+Every simulation executes here and records the program's dynamic
+access stream: recorded once per program; placements are relocated
+(:func:`repro.sim.trace.relocate` derives the stream of any SPM or
+hybrid placement from the baseline recording), and
+:mod:`repro.sim.replay` prices the stream under any memory
+configuration.  The modelled core has no
 timing feedback, so which access happens next never depends on what
 an access costs, and execution needs no cache model at all.
 

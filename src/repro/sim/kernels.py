@@ -499,3 +499,75 @@ def expand_runs(base, heads, packed):
     ops = _np.repeat(firsts, counts) \
         + _np.repeat(strides, counts) * offsets
     return array("Q", ops.tobytes())
+
+
+# -- relocation ----------------------------------------------------------------
+
+def object_index(values, bases, ends, is_code, stack_floor, note_keys,
+                 noted_pcs):
+    """``(buckets, counts, bad)``: where each access of a baseline
+    stream lands, and the first one relocation cannot place (-1 if
+    none).
+
+    Bucket ``i < n`` is the *i*-th of the base-sorted objects
+    (*bases*/*ends*/*is_code*), ``n`` the stack (at or above
+    *stack_floor*), ``n + 1`` outside every object.  *counts* holds
+    per-bucket, per-tag totals.  The guard (see
+    :func:`repro.sim.trace.relocate`) needs each data access's owning
+    pc, the forward-filled address of the latest plain fetch; a data
+    access inside an object passes when ``pc * (n + 2) + bucket`` is
+    in *note_keys*, a stack access when its pc is not in *noted_pcs*.
+    """
+    n = len(bases)
+    width = n + 2
+    tags = (values & _np.uint64(7)).astype(_np.int8)
+    addrs = (values >> _np.uint64(3)).astype(_np.int64)
+    slot = _np.searchsorted(_np.asarray(bases, dtype=_np.int64), addrs,
+                            side="right") - 1
+    ends_of = _np.asarray(list(ends) + [0], dtype=_np.int64)[slot]
+    buckets = _np.where(
+        (slot >= 0) & (addrs < ends_of), slot,
+        _np.where(addrs >= stack_floor, n, n + 1)).astype(
+            _np.uint16 if width <= 0xFFFF else _np.int64)
+    del slot, ends_of
+    counts = _np.bincount(buckets.astype(_np.intp) * 8 + tags,
+                          minlength=width * 8).reshape(width, 8)
+    counts = [tuple(int(c) for c in row) for row in counts]
+    fetch = (tags == 0) | (tags == 7)
+    code = _np.asarray(list(is_code) + [False, False], dtype=bool)[buckets]
+    ok = _np.where(fetch, code, False)
+    owner = _np.where(tags == 0, _np.arange(len(tags)), -1)
+    _np.maximum.accumulate(owner, out=owner)
+    data = ~fetch & (owner >= 0)
+    index = _np.flatnonzero(data)
+    owner = owner[index]
+    pcs = addrs[owner]
+    where = buckets[index].astype(_np.int64)
+    is_read = tags[index] <= 3
+    stack = where == n
+    ok_data = _np.zeros(len(index), dtype=bool)
+    if noted_pcs:
+        ok_data[stack] = ~_np.isin(
+            pcs[stack], _np.fromiter(noted_pcs, dtype=_np.int64))
+    else:
+        ok_data[stack] = True
+    literal = code[index]
+    ok_data[literal] = is_read[literal] & (
+        buckets[owner[literal]] == where[literal])
+    named = ~stack & ~literal & (where < n)
+    if note_keys:
+        ok_data[named] = _np.isin(
+            pcs[named] * width + where[named],
+            _np.fromiter(note_keys, dtype=_np.int64))
+    ok[index] = ok_data
+    bad = _np.flatnonzero(~ok)
+    return buckets, counts, int(bad[0]) if len(bad) else -1
+
+
+def relocate_ops(values, buckets, shifts, keep):
+    """Shift each access by its bucket's packed base delta and drop
+    the buckets *keep* excludes (SPM-resident objects)."""
+    shifted = values.view(_np.int64) + _np.asarray(
+        shifts, dtype=_np.int64)[buckets]
+    return array("Q", shifted[_np.asarray(keep, dtype=bool)[buckets]]
+                 .tobytes())

@@ -23,7 +23,8 @@ There is one executor and one pricer.  :meth:`Simulator.run` executes
 the image once on the flat-array engine (:mod:`repro.sim.engine`),
 which records the dynamic access stream as a
 :class:`~repro.sim.trace.Trace`, and prices that stream under the
-simulator's configuration with :func:`~repro.sim.replay.replay`.  The
+simulator's configuration with :func:`~repro.sim.replay.replay` (or,
+for :func:`~repro.sim.trace.record_trace`, returns it unpriced).  The
 modelled core has no timing feedback, so the stream is the same under
 every configuration and recording needs no cache model.
 
@@ -186,15 +187,18 @@ class Simulator:
 
     # -- run -------------------------------------------------------------------
 
-    def run(self, max_steps=50_000_000) -> SimResult:
+    def run(self, max_steps=50_000_000, price=True):
         """Run from the image entry point until ``swi #0``: record the
-        access stream once, then price it under this configuration."""
-        from .replay import replay  # replay and trace import this module
-        return replay(self.record(max_steps), self.config, max_steps)
+        access stream once on the engine, then price it under this
+        configuration.
 
-    def record(self, max_steps=50_000_000):
-        """Execute once on the engine; the recorded
-        :class:`~repro.sim.trace.Trace`, split at this config's SPM."""
+        With ``price=False`` the recorded
+        :class:`~repro.sim.trace.Trace` (split at this config's SPM) is
+        returned unpriced; :func:`~repro.sim.trace.record_trace` takes
+        that path, so every execution of an image is one ``run`` call.
+        """
+        # replay and trace import this module
+        from .replay import replay
         from .trace import Trace, tag_counts
         program = compile_program(self.code, self.ram, self.regs,
                                   self._spm_limit, SimError, MemoryFault)
@@ -214,11 +218,14 @@ class Simulator:
         self.z = 1 if flags[1] else 0
         self.c = 1 if flags[2] else 0
         self.v = 1 if flags[3] else 0
-        return Trace(ops=program.ops, op_counts=tag_counts(program.ops),
-                     spm_counts=tuple(program.spm_counts),
-                     base_cycles=base_cycles, instructions=steps,
-                     exit_code=exit_code, console=tuple(program.console),
-                     spm_size=self._spm_limit)
+        trace = Trace(ops=program.ops, op_counts=tag_counts(program.ops),
+                      spm_counts=tuple(program.spm_counts),
+                      base_cycles=base_cycles, instructions=steps,
+                      exit_code=exit_code, console=tuple(program.console),
+                      spm_size=self._spm_limit)
+        if not price:
+            return trace
+        return replay(trace, self.config, max_steps)
 
     def run_oracle(self, max_steps=50_000_000, profile=False,
                    record_misses=False) -> SimResult:

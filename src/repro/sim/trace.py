@@ -7,14 +7,22 @@ under every memory configuration — SPM, cache shapes, deeper pipelines —
 that is compatible with the image's placement.  Memory timing decides
 how many cycles each access costs, never which access happens next.
 
-A :class:`Trace` is therefore recorded **once per image** by the flat-
-array execution engine (:mod:`repro.sim.engine`, the simulator's one
-executor) and then served to :mod:`repro.sim.replay`, which prices it
-under any number of :class:`~repro.memory.hierarchy.SystemConfig`
-shapes at tag-array speed.  :meth:`~repro.sim.simulator.Simulator.run`
-is exactly one recording plus one replay; this module adds the
-content-addressed cache that lets many configurations share one
-recording.
+A :class:`Trace` is therefore recorded **once per program; placements
+are relocated**.  The flat-array execution engine
+(:mod:`repro.sim.engine`, the simulator's one executor) records the
+program's baseline (all-in-main-memory) image once, and
+:mod:`repro.sim.replay` prices it under any number of
+:class:`~repro.memory.hierarchy.SystemConfig` shapes at tag-array speed.
+Placement is fixed at link time and moving an object changes what an
+access costs, never which accesses happen, so the trace of any SPM or
+hybrid placement of the same program is derived from the baseline
+recording by :func:`relocate` — a per-object address shift plus an
+SPM/main split — instead of executing the placed image.
+:meth:`~repro.sim.simulator.Simulator.run` is exactly one recording plus
+one replay (:func:`record_trace` is the same run, left unpriced); this
+module adds the content-addressed cache that lets many
+configurations share one recording, and the relocation that lets many
+placements share it too.
 
 Contents, packed for tight replay loops:
 
@@ -48,6 +56,8 @@ cache; ``repro-cc trace --profile`` dumps the counters.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
+from functools import partial
 
 from ..memory.hierarchy import SystemConfig
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
@@ -93,6 +103,9 @@ COUNTERS = {
     # trace LRU and from the per-trace kernel memos.
     "trace_evictions": 0,
     "memo_evictions": 0,
+    # Placed images whose trace :func:`relocate` could not prove
+    # placement-invariant, so they were recorded on their own.
+    "relocations_refused": 0,
 }
 
 
@@ -140,21 +153,29 @@ class Trace:
     transfers.  Foreign ingested streams whose deltas overflow 32 bits
     stay flat (:meth:`runs` returns None).
 
+    A trace derived by :func:`relocate` has neither form at first: its
+    counts are exact from the start, and ``_build`` makes the flat
+    stream on first use — only a cache replay ever asks for it.
+
     ``_memo`` caches config-independent stream reductions computed by
     the vectorised replay kernels (:mod:`repro.sim.kernels`): block-id
     vectors, kind masks, same-block-shortcut survivors.  It is private
-    to the kernels, never pickled, and rebuilt on demand.
+    to the kernels, never pickled, and rebuilt on demand; so is
+    ``_placement``, the per-access object index :func:`relocate` keeps
+    on a baseline recording.
     """
 
-    __slots__ = ("_ops", "_runs", "_memo", "op_counts", "spm_counts",
-                 "base_cycles", "instructions", "exit_code", "console",
-                 "spm_size")
+    __slots__ = ("_ops", "_runs", "_build", "_memo", "_placement",
+                 "op_counts", "spm_counts", "base_cycles", "instructions",
+                 "exit_code", "console", "spm_size")
 
     def __init__(self, ops, op_counts, spm_counts, base_cycles,
                  instructions, exit_code, console, spm_size):
         self._ops = ops
         self._runs = None
+        self._build = None
         self._memo = _new_memo()
+        self._placement = None
         self.op_counts = op_counts
         self.spm_counts = spm_counts
         self.base_cycles = base_cycles
@@ -168,7 +189,11 @@ class Trace:
         """The flat packed stream, re-expanded from runs if compacted."""
         ops = self._ops
         if ops is None:
-            ops = self._ops = _expand_runs(*self._runs)
+            if self._build is not None:
+                ops = self._ops = self._build()
+                self._build = None
+            else:
+                ops = self._ops = _expand_runs(*self._runs)
         return ops
 
     def runs(self):
@@ -182,7 +207,7 @@ class Trace:
         32 bits) — the flat form is kept then.
         """
         if self._runs is None:
-            self._runs = _compress_ops(self._ops) or _NO_RUNS
+            self._runs = _compress_ops(self.ops) or _NO_RUNS
         return None if self._runs is _NO_RUNS else self._runs
 
     def iter_runs(self):
@@ -228,7 +253,9 @@ class Trace:
         (self.op_counts, self.spm_counts, self.base_cycles,
          self.instructions, self.exit_code, self.console,
          self.spm_size) = rest
+        self._build = None
         self._memo = _new_memo()
+        self._placement = None
 
     @property
     def accesses(self) -> int:
@@ -341,7 +368,7 @@ def record_trace(image, spm_size: int = None,
         spm_size = _image_spm_size(image)
     config = (SystemConfig.scratchpad(spm_size) if spm_size
               else SystemConfig.uncached())
-    trace = Simulator(image, config).record(max_steps)
+    trace = Simulator(image, config).run(max_steps, price=False)
     COUNTERS["trace_records"] += 1
     return trace
 
@@ -350,6 +377,234 @@ def _image_spm_size(image) -> int:
     """Smallest SPM capacity covering the image's scratchpad objects."""
     return max((obj.end for obj in image.objects
                 if obj.region == "scratchpad"), default=0)
+
+
+# -- relocation: one recording serves every placement ----------------------
+
+class RelocationError(ValueError):
+    """The recording cannot be proven to carry over to a new placement."""
+
+
+class _Placement:
+    """Where each access of a baseline recording lands, by object.
+
+    Objects of the recorded image are indexed in base order; bucket
+    ``n`` (one past the last object) is the stack — every address at or
+    above the highest object end, which no placement moves — and bucket
+    ``n + 1`` collects addresses outside every object.  ``buckets``
+    holds one bucket id per access, ``counts[b]`` the per-tag totals of
+    bucket *b*, and ``refusal`` says why the guard rejected the
+    recording (None when it holds).
+    """
+
+    __slots__ = ("key", "objects", "buckets", "counts", "refusal")
+
+    def __init__(self, key, objects, buckets, counts, refusal):
+        self.key = key
+        self.objects = objects
+        self.buckets = buckets
+        self.counts = counts
+        self.refusal = refusal
+
+
+def _placement_layout(image):
+    """``(objects, bases, ends, is_code, stack_floor, note_keys,
+    noted_pcs)`` of *image* for the object index and its guard.
+
+    ``note_keys`` holds ``pc * (n + 2) + bucket`` for every object an
+    instruction's :class:`~repro.link.objects.AccessNote` names;
+    ``noted_pcs`` the pcs whose note names any object at all.
+    """
+    objects = sorted(image.objects, key=lambda obj: obj.base)
+    bases = [obj.base for obj in objects]
+    ends = [obj.end for obj in objects]
+    is_code = [obj.kind == "code" for obj in objects]
+    stack_floor = max(ends, default=0)
+    width = len(objects) + 2
+    bucket_of = {obj.name: index for index, obj in enumerate(objects)}
+    note_keys = set()
+    noted_pcs = set()
+    for pc, note in image.access_notes.items():
+        if note.targets:
+            noted_pcs.add(pc)
+        for name, _lo, _hi in note.targets:
+            if name in bucket_of:
+                note_keys.add(pc * width + bucket_of[name])
+    return (objects, bases, ends, is_code, stack_floor, note_keys,
+            noted_pcs)
+
+
+def _object_index(ops, layout):
+    """Scalar :func:`repro.sim.kernels.object_index`: ``(buckets,
+    counts, bad)`` with *bad* the first access the guard rejects, or
+    -1."""
+    _objects, bases, ends, is_code, stack_floor, note_keys, noted_pcs = \
+        layout
+    n = len(bases)
+    width = n + 2
+    buckets = array("H" if width <= 0xFFFF else "l")
+    counts = [[0] * 8 for _ in range(width)]
+    bad = -1
+    pc = pc_bucket = None
+    for position, value in enumerate(ops):
+        tag = value & 7
+        addr = value >> 3
+        slot = bisect_right(bases, addr) - 1
+        if slot >= 0 and addr < ends[slot]:
+            bucket = slot
+        elif addr >= stack_floor:
+            bucket = n
+        else:
+            bucket = n + 1
+        buckets.append(bucket)
+        counts[bucket][tag] += 1
+        if tag == TAG_FETCH:
+            pc, pc_bucket = addr, bucket
+        if bad >= 0:
+            continue
+        if tag in FETCH_TAGS:
+            ok = bucket < n and is_code[bucket]
+        elif pc is None:
+            ok = False
+        elif bucket == n:
+            ok = pc not in noted_pcs
+        elif bucket > n:
+            ok = False
+        elif is_code[bucket]:  # a literal-pool read (tags 1-3)
+            ok = tag <= 3 and bucket == pc_bucket
+        else:
+            ok = pc * width + bucket in note_keys
+        if not ok:
+            bad = position
+    return buckets, [tuple(row) for row in counts], bad
+
+
+def _placement_of(trace: Trace, image) -> _Placement:
+    """The object index of baseline *trace* recorded from *image*,
+    computed once and kept on the trace."""
+    key = image.content_key()
+    placement = trace._placement
+    if placement is not None and placement.key == key:
+        return placement
+    from . import kernels
+    layout = _placement_layout(image)
+    ops = trace.ops
+    if kernels.have_numpy():
+        buckets, counts, bad = kernels.object_index(
+            kernels.ops_view(ops), *layout[1:])
+    else:
+        buckets, counts, bad = _object_index(ops, layout)
+    refusal = None
+    if bad >= 0:
+        refusal = (f"access #{bad} (to {ops[bad] >> 3:#x}) is not "
+                   "provably placement-invariant")
+    placement = trace._placement = _Placement(key, layout[0], buckets,
+                                              counts, refusal)
+    return placement
+
+
+def relocate(trace: Trace, recorded_image, image,
+             spm_size: int = None) -> Trace:
+    """The trace of *image*, derived from *trace* of *recorded_image*.
+
+    *trace* is a baseline recording (no SPM split) of *recorded_image*;
+    *image* links the same program with any other placement.  Every
+    access keeps its place in the stream: accesses to an object that
+    moved to the scratchpad become SPM-resident per-tag counts, the
+    rest shift by their object's base delta, and the stack never
+    moves.  The derived trace's counts come from per-object count
+    arithmetic; its packed stream is built only if a replay asks for
+    it.  *spm_size* is the split of the configs it will be replayed
+    under (default: the smallest covering *image*'s SPM objects).
+
+    Raises :class:`RelocationError` unless every access of the
+    recording provably lands at the same offset of the same object
+    under any placement: fetches inside code objects, stack accesses
+    at or above the highest object end from instructions that name no
+    object, literal-pool reads inside the executing function, and
+    data accesses inside an object the instruction's
+    :class:`~repro.link.objects.AccessNote` names.  The owning pc of a
+    data access is the nearest preceding fetch.  Mini-C has no pointer
+    values, so only an out-of-bounds index can trip the guard.
+    """
+    if trace.spm_size or any(trace.spm_counts):
+        raise ValueError("relocation starts from a recording with no "
+                         "SPM split")
+    placement = _placement_of(trace, recorded_image)
+    if placement.refusal is not None:
+        raise RelocationError(placement.refusal)
+    if spm_size is None:
+        spm_size = _image_spm_size(image)
+    elif spm_size < _image_spm_size(image):
+        raise ValueError(f"image places {_image_spm_size(image)} bytes "
+                         f"in a {spm_size}-byte scratchpad")
+    if len(image.objects) != len(placement.objects):
+        raise ValueError("the images place different object sets; "
+                         "relocation needs the same program")
+    shifts = []
+    keep = []
+    op_counts = [0] * 8
+    spm_counts = [0] * 8
+    for obj, counts in zip(placement.objects, placement.counts):
+        try:
+            placed = image.object_named(obj.name)
+        except KeyError:
+            raise ValueError(f"{obj.name!r} is not in the placed image; "
+                             "relocation needs the same program") from None
+        if (placed.kind, placed.size) != (obj.kind, obj.size):
+            raise ValueError(f"{obj.name!r} differs between the images; "
+                             "relocation needs the same program")
+        to_spm = placed.region == "scratchpad"
+        shifts.append(0 if to_spm else (placed.base - obj.base) << 3)
+        keep.append(not to_spm)
+        totals = spm_counts if to_spm else op_counts
+        for tag, count in enumerate(counts):
+            totals[tag] += count
+    for tag, count in enumerate(placement.counts[len(shifts)]):  # stack
+        op_counts[tag] += count
+    shifts += [0, 0]
+    keep += [True, False]
+    derived = Trace(None, tuple(op_counts), tuple(spm_counts),
+                    trace.base_cycles, trace.instructions,
+                    trace.exit_code, trace.console, spm_size)
+    derived._build = partial(_relocated_ops, trace, placement.buckets,
+                             shifts, keep)
+    return derived
+
+
+def _relocated_ops(trace, buckets, shifts, keep):
+    """The packed stream of a relocated trace (see :func:`relocate`)."""
+    from . import kernels
+    if kernels.have_numpy():
+        return kernels.relocate_ops(kernels.ops_view(trace.ops), buckets,
+                                    shifts, keep)
+    ops = array("Q")
+    append = ops.append
+    for value, bucket in zip(trace.ops, buckets):
+        if keep[bucket]:
+            append(value + shifts[bucket])
+    return ops
+
+
+def placed_trace(baseline, image, spm_size: int = None,
+                 max_steps: int = 50_000_000) -> Trace:
+    """The trace of *image*, a placement of the program *baseline*
+    links with everything in main memory.
+
+    Relocates the baseline recording (:func:`trace_for`, recorded once
+    and shared by every placement); only when :func:`relocate` refuses
+    is *image* recorded on its own, counted in
+    ``COUNTERS["relocations_refused"]``.  Relocated traces are derived
+    data and never reach the on-disk store.
+    """
+    recording = trace_for(baseline, 0, max_steps)
+    try:
+        return relocate(recording, baseline, image, spm_size)
+    except RelocationError:
+        COUNTERS["relocations_refused"] += 1
+    if spm_size is None:
+        spm_size = _image_spm_size(image)
+    return trace_for(image, spm_size, max_steps)
 
 
 # -- the content-addressed trace cache --------------------------------------

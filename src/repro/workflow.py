@@ -12,15 +12,16 @@ Right branch (cache):
 
 A :class:`Workflow` caches the compile and profile steps so a size sweep
 only repeats the placement/simulation/analysis work, like the paper's
-experimental setup.  Simulation itself is trace-driven wherever an
-executable is evaluated under more than one memory timing: the dynamic
-access stream is recorded once per image (:mod:`repro.sim.trace`) and
-re-priced per configuration by the replay kernels
-(:mod:`repro.sim.replay`), with same-geometry cache size sweeps served
-by a single Mattson-style pass (:meth:`Workflow.cache_points`).  The
-typical-input profile is read off the same baseline trace the cache
-points replay, so the paper's profiling run and its cache measurements
-share one execution.
+experimental setup.  Simulation itself is trace-driven: the dynamic
+access stream is recorded once per program; placements are relocated
+(:mod:`repro.sim.trace`).  The baseline executable is recorded once,
+every scratchpad and hybrid placement derives its trace from that
+recording by :func:`~repro.sim.trace.relocate`, and the replay kernels
+(:mod:`repro.sim.replay`) re-price the traces per configuration, with
+same-geometry cache size sweeps served by a single Mattson-style pass
+(:meth:`Workflow.cache_points`).  The typical-input profile is read off
+the same baseline trace, so the paper's profiling run, its cache
+measurements and its scratchpad measurements share one execution.
 
 Beyond the paper's two branches, the deeper pipelines of
 :mod:`repro.memory.levels` get evaluation points too:
@@ -46,8 +47,8 @@ from .sim.replay import (
     replay_sweep,
     sweep_geometry,
 )
-from .sim.simulator import SimResult, simulate
-from .sim.trace import trace_for
+from .sim.simulator import SimResult
+from .sim.trace import placed_trace, trace_for
 from .spm.allocator import Allocation, allocate_energy_optimal
 from .spm.wcet_driven import allocate_wcet_driven
 from .wcet.analyzer import WCETResult, analyze_wcet
@@ -157,7 +158,7 @@ class Workflow:
                      spm_objects=allocation.objects,
                      config_name=f"spm{spm_size}")
         config = SystemConfig.scratchpad(spm_size)
-        sim = simulate(image, config, max_steps=self.max_steps)
+        sim = self._traced_sim(image, config, spm_size=spm_size)
         wcet = analyze_wcet(image, config)
         point = EvaluationPoint(config=config, image=image, sim=sim,
                                 wcet=wcet, allocation=allocation)
@@ -171,8 +172,13 @@ class Workflow:
 
     def _traced_sim(self, image, config: SystemConfig,
                     spm_size: int = 0) -> SimResult:
-        """Simulate via the recorded trace (recording it on first use)."""
-        trace = trace_for(image, spm_size, max_steps=self.max_steps)
+        """Simulate via the baseline recording (recorded on first use),
+        relocated when *image* places objects in a *spm_size* SPM."""
+        if spm_size:
+            trace = placed_trace(self.baseline_image(), image, spm_size,
+                                 max_steps=self.max_steps)
+        else:
+            trace = trace_for(image, 0, max_steps=self.max_steps)
         return replay(trace, config, max_steps=self.max_steps)
 
     def _cache_sims(self, caches) -> dict:

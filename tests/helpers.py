@@ -74,6 +74,18 @@ def suite_program(bench):
     return _PROGRAMS[bench]
 
 
+def greedy_spm_objects(program, spm_size):
+    """Smallest objects first until *spm_size* bytes are full (no LP)."""
+    chosen, used = [], 0
+    for name, _kind, size in sorted(program.memory_objects(),
+                                    key=lambda o: (o[2], o[0])):
+        aligned = (size + 3) & ~3
+        if used + aligned <= spm_size:
+            chosen.append(name)
+            used += aligned
+    return chosen
+
+
 def suite_image(bench, spm: bool):
     """Linked image; with *spm*, smallest objects fill the scratchpad."""
     key = (bench, spm)
@@ -82,15 +94,9 @@ def suite_image(bench, spm: bool):
         if not spm:
             _IMAGES[key] = link(program)
         else:
-            chosen, used = [], 0
-            for name, _kind, size in sorted(program.memory_objects(),
-                                            key=lambda o: (o[2], o[0])):
-                aligned = (size + 3) & ~3
-                if used + aligned <= SPM_SIZE:
-                    chosen.append(name)
-                    used += aligned
             _IMAGES[key] = link(program, spm_size=SPM_SIZE,
-                                spm_objects=chosen)
+                                spm_objects=greedy_spm_objects(
+                                    program, SPM_SIZE))
     return _IMAGES[key]
 
 

@@ -628,6 +628,33 @@ time.sleep(30)
 """
 
 
+def _proc_stat(pid):
+    """``(state, ppid)`` of *pid* from ``/proc``, or None if gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid):
+    """Pids whose parent is *pid*."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                found.append(int(entry))
+    return found
+
+
+def _alive(pid):
+    """True while *pid* runs (a zombie awaiting its reaper is gone)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
 class TestSocketClaimRace:
     def test_two_racers_one_socket_exactly_one_wins(self, tmp_path):
         """Regression for the PR-9 probe-then-unlink race: two daemons
@@ -670,6 +697,29 @@ class TestSocketClaimRace:
                 if racer.poll() is None:
                     racer.send_signal(signal.SIGKILL)
                 racer.wait()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="parent-death signal is Linux-only")
+    def test_sigkilled_daemon_leaves_no_workers(self, tmp_path):
+        """A SIGKILLed daemon's pool workers die with it instead of
+        living on under init (each one used to outlive the test run)."""
+        socket_path = str(tmp_path / "killed.sock")
+        script = CLAIM_RACER.format(src=SRC, path=socket_path)
+        daemon = subprocess.Popen([sys.executable, "-c", script],
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.STDOUT, text=True)
+        try:
+            assert daemon.stdout.readline().strip() == "WON"
+            workers = _children(daemon.pid)
+            assert workers, "the daemon forked no pool worker"
+        finally:
+            daemon.send_signal(signal.SIGKILL)
+            daemon.wait()
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers)), \
+            f"orphaned workers: {[p for p in workers if _alive(p)]}"
 
     def test_lock_released_after_drain(self, tmp_path):
         socket_path = str(tmp_path / "reusable.sock")

@@ -435,6 +435,42 @@ class TestSigtermDrain:
         assert not os.path.exists(tmp_path / "drain.sock")
 
 
+#: A daemon whose SIGTERM is taken by a thread other than the main one
+#: (any thread may take a process-directed signal); its main thread
+#: must still notice and drain.
+SIGTERM_ON_OTHER_THREAD = r"""
+import os, signal, sys, threading, time
+sys.path.insert(0, {src!r})
+from repro.serve import cli
+
+def kick():
+    while not os.path.exists({path!r}):
+        time.sleep(0.05)
+    time.sleep(0.5)  # the main thread is waiting for the stop signal
+    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+threading.Thread(target=kick, daemon=True).start()
+sys.exit(cli.main(["--socket", {path!r}, "--workers", "1",
+                   "--cache-dir", "none"]))
+"""
+
+
+class TestSigtermOnAnyThread:
+    def test_signal_taken_by_another_thread_still_drains(self, tmp_path):
+        script = SIGTERM_ON_OTHER_THREAD.format(
+            src=SRC, path=str(tmp_path / "other.sock"))
+        process = subprocess.Popen([sys.executable, "-c", script],
+                                   stdout=subprocess.PIPE,
+                                   stderr=subprocess.STDOUT, text=True)
+        try:
+            assert process.wait(timeout=30) == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        assert "repro-serve: draining" in process.stdout.read()
+
+
 class TestLoadGenerator:
     def test_quick_load_with_faults_verifies_and_drains(
             self, monkeypatch):
