@@ -99,24 +99,6 @@ def _add_memory_options(parser):
                              "(allows --spm together with --cache)")
 
 
-def _add_kernel_option(parser):
-    parser.add_argument("--kernel", choices=("auto", "scalar", "numpy"),
-                        default=None,
-                        help="replay backend (default: auto — numpy "
-                             "when importable; also via "
-                             "REPRO_REPLAY_KERNEL)")
-
-
-def _apply_kernel(args):
-    if getattr(args, "kernel", None) is None:
-        return
-    from .sim import kernels
-    try:
-        kernels.set_kernel(args.kernel)
-    except RuntimeError as error:
-        raise SystemExit(f"--kernel: {error}") from None
-
-
 def _config_for(args) -> SystemConfig:
     """The SystemConfig the command-line options describe."""
     if args.spm and args.cache and not args.hybrid:
@@ -248,13 +230,12 @@ def cmd_trace(args):
     _print_trace_summary(trace, config.describe())
     if args.profile:
         # One replay under the requested hierarchy, so the counters
-        # show which kernel (scalar/numpy) served it.
+        # show which path (numpy kernels or scalar walk) served it.
         before = dict(trace_counters())
         replay(trace, config)
         after = trace_counters()
         served = [key for key in ("replay_numpy", "replay_scalar",
-                                  "sweep_numpy", "sweep_scalar",
-                                  "grid_numpy", "grid_scalar")
+                                  "sweep_numpy", "grid_numpy")
                   if after[key] > before.get(key, 0)]
         print(f"# replay served by: {', '.join(served) or 'cache'}")
         print("# trace counters:")
@@ -335,8 +316,7 @@ def cmd_sweep(args):
     for size, assoc in skipped:
         print(f"# skipped {size}B assoc={assoc}: fewer than one set")
     after = trace_counters()
-    served = [key for key in ("grid_numpy", "grid_scalar",
-                              "sweep_numpy", "sweep_scalar",
+    served = [key for key in ("grid_numpy", "sweep_numpy",
                               "replay_numpy", "replay_scalar")
               if after[key] > before.get(key, 0)]
     print(f"# kernel: {', '.join(served) or 'cached'}")
@@ -551,7 +531,6 @@ def main(argv=None) -> int:
             command.add_argument(
                 "--record-misses", action="store_true",
                 help="also report the hottest fetch-miss addresses")
-            _add_kernel_option(command)
         if name == "trace":
             command.add_argument(
                 "--profile", action="store_true",
@@ -561,7 +540,6 @@ def main(argv=None) -> int:
                 "--export", metavar="FILE",
                 help="also write the trace in the portable text "
                      "format (gzip when FILE ends in .gz)")
-            _add_kernel_option(command)
         if name == "wcet":
             command.add_argument(
                 "--profile", action="store_true",
@@ -580,7 +558,6 @@ def main(argv=None) -> int:
                         help="comma-separated cache sizes: price them "
                              "all in one single-pass replay")
     _add_memory_options(ingest)
-    _add_kernel_option(ingest)
     ingest.set_defaults(func=cmd_ingest)
 
     sweep = sub.add_parser(
@@ -596,7 +573,6 @@ def main(argv=None) -> int:
                        help="cache line size in bytes (default 16)")
     sweep.add_argument("--icache", action="store_true",
                        help="instruction-only grid (data bypasses)")
-    _add_kernel_option(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     cache = sub.add_parser(
@@ -629,7 +605,6 @@ def main(argv=None) -> int:
                    help="analysis-as-a-service daemon (repro-serve)")
 
     args = parser.parse_args(argv)
-    _apply_kernel(args)
     return args.func(args)
 
 

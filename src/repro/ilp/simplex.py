@@ -21,10 +21,7 @@ from __future__ import annotations
 
 import math
 
-try:  # the LP solver needs numpy; importing the package must not
-    import numpy as np
-except ImportError:  # pragma: no cover - the numpy-less CI job
-    np = None
+import numpy as np
 
 from .model import EQ, GE, LE, Model, Solution, Status
 
@@ -92,8 +89,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
 
     *bounds* is a list of ``(lo, hi)`` per variable; default ``(0, inf)``.
     """
-    if np is None:
-        raise RuntimeError("the LP solver requires numpy")
     c = np.asarray(c, dtype=float)
     n = c.size
     a_ub = np.zeros((0, n)) if a_ub is None else np.asarray(a_ub, float)
@@ -261,8 +256,6 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
 
 def solve_lp_model(model: Model) -> Solution:
     """Solve a :class:`~repro.ilp.model.Model` as a pure LP."""
-    if np is None:
-        raise RuntimeError("the LP solver requires numpy")
     n = len(model.vars)
     c = np.zeros(n)
     for index, coef in model.objective.items():

@@ -28,6 +28,7 @@ model so the simulator and the WCET analyser cannot diverge:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..isa.opcodes import Op
 from .regions import RegionKind
@@ -54,6 +55,17 @@ class AccessTiming:
 
     main: dict = field(default_factory=lambda: dict(MAIN_CYCLES))
     spm: dict = field(default_factory=lambda: dict(SPM_CYCLES))
+
+    @cached_property
+    def key(self) -> tuple:
+        """Both tables as one hashable value, for memo keys.
+
+        Flattened once per object: the dict fields make the dataclass
+        itself unhashable, and every default config shares the one
+        Table 1 instance, so repeated lookups pay only a hash.
+        """
+        return (tuple(sorted(self.main.items())),
+                tuple(sorted(self.spm.items())))
 
     def cycles(self, kind: str, width: int) -> int:
         """Cycle count for one uncached access of *width* bytes."""

@@ -26,7 +26,6 @@ from .simulator import (
     simulate_oracle,
 )
 from .profile import ObjectProfile, ProgramProfile, build_profile, trace_counts
-from .kernels import active_kernel, have_numpy, set_kernel
 from .replay import (
     grid_geometry,
     replay,
@@ -52,7 +51,6 @@ __all__ = [
     "MemoryFault", "SimError", "SimResult", "Simulator", "simulate",
     "simulate_oracle",
     "ObjectProfile", "ProgramProfile", "build_profile", "trace_counts",
-    "active_kernel", "have_numpy", "set_kernel",
     "grid_geometry", "replay", "replay_grid", "replay_misses",
     "replay_sweep", "sweep_geometry",
     "RelocationError", "Trace", "clear_trace_caches", "placed_trace",

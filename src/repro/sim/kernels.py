@@ -1,10 +1,9 @@
-"""Vectorised (numpy) replay kernels behind a runtime-selected backend.
+"""Vectorised (numpy) replay kernels: the one fast path.
 
-The scalar kernels in :mod:`repro.sim.replay` walk the packed
-``addr << 3 | tag`` stream one access at a time.  For direct-mapped LRU
-pipelines — the paper's shapes, and the hot rows of
-``BENCH_simulator.json`` — the same counters can be computed from whole-
-trace vector operations instead:
+For direct-mapped LRU pipelines — the paper's shapes, and the hot rows
+of ``BENCH_simulator.json`` — replay counters are computed from
+whole-trace vector operations instead of a walk over the packed
+``addr << 3 | tag`` stream:
 
 * the stream is viewed in bulk as a ``uint64`` array (zero-copy over the
   trace's ``array('Q')`` buffer) and split once into tag / address /
@@ -19,10 +18,9 @@ trace vector operations instead:
 * multi-level pipelines chain the same kernel with per-level pending
   masks: fetches/reads that hit stop descending, writes (write-through,
   no allocate) probe every data-path level unconditionally;
-* the same-block shortcut the scalar sweep kernel uses becomes a
-  vectorised prefilter: runs of consecutive same-block accesses are
-  guaranteed hits at every geometry and drop out before the per-set
-  grouping, which is what makes size sweeps cheap;
+* runs of consecutive same-block accesses are guaranteed hits at every
+  geometry and drop out before the per-set grouping (a vectorised
+  prefilter), which is what makes size sweeps cheap;
 * everything about a probe stream that does not depend on the set
   count — kind masks, block ids, the shortcut survivors —
   is reduced once per ``(trace, line size, stream)`` and memoised on
@@ -30,76 +28,25 @@ trace vector operations instead:
   many configurations (the workflow sweeps, the benches) pays only the
   per-set grouping per point.
 
-Backend selection is automatic (numpy when importable) with two
-overrides, checked in order: :func:`set_kernel` (the CLI's ``--kernel``)
-and the ``REPRO_REPLAY_KERNEL`` environment variable (``scalar`` |
-``numpy`` | ``auto``).  Without numpy the scalar kernels serve
-everything, bit-identically — the differential tests in
-``tests/test_kernels.py`` pin the two backends against each other over
-every committed hierarchy shape.
+numpy is a hard dependency.  Pipelines these kernels do not cover
+(FIFO, random, associative LRU) are priced by the scalar walk in
+:mod:`repro.sim.replay`, which is also the reference
+``tests/test_kernels.py`` pins every committed hierarchy shape to.
+The module also holds the numpy passes behind trace run-length
+expansion and relocation (:mod:`repro.sim.trace`).
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 
-try:  # optional dependency: everything falls back to the scalar kernels
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-less CI job
-    _np = None
-
-#: Valid kernel names for the override knobs.
-KERNEL_CHOICES = ("auto", "scalar", "numpy")
-
-#: Runtime override installed by :func:`set_kernel` (None = not set).
-_OVERRIDE = None
-
-
-def have_numpy() -> bool:
-    """True when the numpy backend can serve at all."""
-    return _np is not None
-
-
-def set_kernel(name):
-    """Install (or with ``None``/``"auto"`` clear) the kernel override.
-
-    Takes precedence over ``REPRO_REPLAY_KERNEL``.  Requesting ``numpy``
-    without numpy installed is an error — silent fallback is reserved
-    for ``auto``.
-    """
-    global _OVERRIDE
-    if name is None or name == "auto":
-        _OVERRIDE = None
-        return
-    if name not in ("scalar", "numpy"):
-        raise ValueError(
-            f"unknown replay kernel {name!r}; expected one of "
-            f"{KERNEL_CHOICES}")
-    if name == "numpy" and _np is None:
-        raise RuntimeError(
-            "replay kernel 'numpy' requested but numpy is not installed")
-    _OVERRIDE = name
+import numpy as _np
 
 
 def active_kernel() -> str:
-    """The backend replay dispatches to right now: scalar or numpy."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    env = os.environ.get("REPRO_REPLAY_KERNEL", "auto")
-    if env == "scalar":
-        return "scalar"
-    if env == "numpy":
-        if _np is None:
-            raise RuntimeError(
-                "REPRO_REPLAY_KERNEL=numpy but numpy is not installed "
-                "(use 'auto' for graceful fallback)")
-        return "numpy"
-    if env not in ("", "auto"):
-        raise RuntimeError(
-            f"bad REPRO_REPLAY_KERNEL value {env!r}; expected one of "
-            f"{KERNEL_CHOICES}")
-    return "numpy" if _np is not None else "scalar"
+    """Always ``"numpy"``: kept because the benchmark fingerprint
+    (``perfbench/common.py``) records it."""
+    return "numpy"
 
 
 # -- bulk views of the packed stream -----------------------------------------
@@ -113,13 +60,6 @@ def tag_counts(ops):
     """Per-tag totals (8 entries) of a packed ``array('Q')`` stream."""
     tags = (ops_view(ops) & _np.uint64(7)).astype(_np.intp)
     return tuple(int(n) for n in _np.bincount(tags, minlength=8))
-
-
-def split_stream(values):
-    """``(tags, addrs)`` as int64 vectors from packed uint64 values."""
-    tags = (values & _np.uint64(7)).astype(_np.int64)
-    addrs = (values >> _np.uint64(3)).astype(_np.int64)
-    return tags, addrs
 
 
 # -- the direct-mapped carry kernel ------------------------------------------
@@ -419,10 +359,10 @@ def dm_sweep_counts(values, line, unified, nsets_list, memo=None):
 
     The multi-size generalisation: the stream is reduced once (and
     memoised across calls) by :func:`stream_prep`; only the shortcut
-    survivors pay a per-``nsets`` grouping.  Matches the scalar
-    ``_sweep_walk`` tables bit for bit, writes included (they probe
-    without allocating, exactly the write-recency contract the
-    regression tests pin down).
+    survivors pay a per-``nsets`` grouping.  Matches per-point replays
+    bit for bit, writes included (they probe without allocating,
+    exactly the write-recency contract the regression tests pin
+    down).
 
     When the requested set counts form a divisibility chain (the usual
     power-of-two sweep), direct-mapped inclusion — a hit at ``k`` sets
@@ -479,7 +419,8 @@ def dm_sweep_counts(values, line, unified, nsets_list, memo=None):
 # -- run-length expansion -----------------------------------------------------
 
 def expand_runs(base, heads, packed):
-    """Decode the trace RLE form back into a flat ``array('Q')``.
+    """Decode the trace RLE form (``repro.sim.trace._compress_ops``)
+    back into a flat ``array('Q')``.
 
     *heads* holds each run's ``int32`` delta from the previous run's
     first packed op (*base* anchors the first), *packed* holds

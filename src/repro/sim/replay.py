@@ -20,11 +20,11 @@ only for the accesses that can actually change state:
 * pipelines with no caches at all reduce to pure arithmetic over a
   memoized per-config pricing plan — no tag arrays, no hierarchy.
 
-Each replay is served by one of two interchangeable backends
-(:mod:`repro.sim.kernels` picks, ``REPRO_REPLAY_KERNEL`` /
-``--kernel`` override): the scalar walks below, or numpy-vectorised
-passes for direct-mapped LRU pipelines.  Both are bit-identical by
-contract and by differential test.
+Direct-mapped LRU pipelines (the paper's shapes) are priced by the
+numpy kernels of :mod:`repro.sim.kernels`; every other pipeline (FIFO,
+random, associative LRU) by one scalar walk over the hierarchy's touch
+closures (:func:`_walk_replay`).  That walk is also the reference the
+kernel tests compare against on every committed shape.
 
 :func:`replay_sweep` goes further for the paper's bread-and-butter
 sweep: same-geometry direct-mapped LRU caches of different sizes
@@ -32,17 +32,15 @@ sweep: same-geometry direct-mapped LRU caches of different sizes
 set contents of a cache are exactly the most recently used blocks
 mapping to each set — Mattson et al.'s stack property, which for the
 direct-mapped case degenerates to "resident iff most recent allocation
-in the set".  One pass over the trace therefore evaluates *every* size
-at once: per access, each candidate size checks/updates one last-block
-cell, and a most-recent-block shortcut skips the (dominant) runs of
-consecutive same-line accesses that hit at every size.  Writes never
+in the set".  The stream is therefore reduced once and every size is
+read off it (:func:`repro.sim.kernels.dm_sweep_counts`); writes never
 allocate, so the shared recency state stays exact across all sizes.
 
 :func:`replay_grid` generalises the sweep to full per-set Mattson stack
 distances: one pass prices an entire (size × associativity) LRU grid at
 fixed line size.  Three exactness regimes share the pass:
 
-* associativity-1 points reuse the sweep tables (write probes are
+* associativity-1 points reuse the sweep kernel (write probes are
   statistics-only there, so sharing is exact);
 * when no write ever reaches the cache (instruction-cache grids, or
   write-free traces), all deeper points share per-set LRU stacks
@@ -140,25 +138,17 @@ class _ReplayPlan:
 
 
 _PLANS = {}
-_PLANS_BY_ID = {}
 
 
 def _plan_for(config: SystemConfig) -> _ReplayPlan:
-    # Fast path: the same config object replayed again (sweeps, grids,
-    # benches) resolves by identity, skipping the key flattening.
-    cached = _PLANS_BY_ID.get(id(config))
-    if cached is not None and cached[0] is config:
-        return cached[1]
-    # AccessTiming holds dict fields (unhashable), so the memo key
-    # flattens it; levels tuples are frozen dataclasses and hash fine.
-    timing = config.timing
-    key = (config.levels,
-           tuple(sorted(timing.main.items())),
-           tuple(sorted(timing.spm.items())))
+    # Keyed by value only, never by config identity: workflow points
+    # build fresh configs, and an identity table would keep every one
+    # of them alive.  Levels tuples are frozen dataclasses and hash
+    # fine.
+    key = (config.levels, config.timing.key)
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = _ReplayPlan(config)
-    _PLANS_BY_ID[id(config)] = (config, plan)
     return plan
 
 
@@ -269,7 +259,7 @@ def replay(trace: Trace, config: SystemConfig,
         cycles = trace.base_cycles + _fixed_cycles(
             trace, plan, fetches_fixed=True, reads_fixed=True)
         return _plan_result(trace, plan, cycles, ())
-    if plan.dm_chain and kernels.active_kernel() == "numpy":
+    if plan.dm_chain:
         COUNTERS["replay_numpy"] += 1
         counts = kernels.dm_chain_counts(
             kernels.ops_view(trace.ops), plan.kernel_caches,
@@ -279,93 +269,22 @@ def replay(trace: Trace, config: SystemConfig,
                                 reads_fixed=not plan.data_order)
         return _plan_result(trace, plan, cycles, counts)
     COUNTERS["replay_scalar"] += 1
+    return _walk_replay(trace, config, plan)
+
+
+def _walk_replay(trace: Trace, config: SystemConfig,
+                 plan: _ReplayPlan) -> SimResult:
+    """Price *trace* by walking every access through the hierarchy.
+
+    Serves every pipeline the numpy kernels do not, and is their
+    reference in the tests.
+    """
     hierarchy = MemoryHierarchy(config)
-    fchain = hierarchy._fetch_chain
-    dchain = hierarchy._data_chain
     cycles = trace.base_cycles + _fixed_cycles(
-        trace, plan, fetches_fixed=not fchain,
-        reads_fixed=not dchain)
-    if fchain == dchain and len(fchain) == 1 \
-            and fchain[0].config.assoc == 1:
-        cycles += _walk_unified_dm(trace, hierarchy)
-    elif len(fchain) == 1 and not dchain \
-            and fchain[0].config.assoc == 1:
-        cycles += _walk_fetch_dm(trace, hierarchy)
-    elif fchain or dchain:
-        cycles += _walk_generic(trace, hierarchy)
+        trace, plan, fetches_fixed=not plan.fetch_order,
+        reads_fixed=not plan.data_order)
+    cycles += _walk_generic(trace, hierarchy)
     return _result(trace, hierarchy, cycles)
-
-
-def _walk_unified_dm(trace: Trace, hierarchy: MemoryHierarchy) -> int:
-    """One shared direct-mapped cache on both paths (the paper's shape)."""
-    cache = hierarchy._fetch_chain[0]
-    sets = cache.sets
-    counts = cache.fast_counts
-    line = cache.config.line_size
-    nsets = cache.config.num_sets
-    f_hit, f_miss = (out.cycles for out in hierarchy._fetch_out)
-    r_hit, r_miss = (out.cycles for out in hierarchy._data_out)
-    cycles = 0
-    for value in trace.ops:
-        tag = value & 7
-        block = (value >> 3) // line
-        ways = sets[block % nsets]
-        if tag == 0 or tag == 7:
-            if ways and ways[0] == block:
-                counts[0] += 1
-                cycles += f_hit
-            else:
-                if ways:
-                    ways[0] = block
-                else:
-                    ways.append(block)
-                counts[1] += 1
-                cycles += f_miss
-        elif tag < 4:
-            if ways and ways[0] == block:
-                counts[2] += 1
-                cycles += r_hit
-            else:
-                if ways:
-                    ways[0] = block
-                else:
-                    ways.append(block)
-                counts[3] += 1
-                cycles += r_miss
-        else:  # write-through, no allocate: stats only
-            if ways and ways[0] == block:
-                counts[4] += 1
-            else:
-                counts[5] += 1
-    return cycles
-
-
-def _walk_fetch_dm(trace: Trace, hierarchy: MemoryHierarchy) -> int:
-    """A single direct-mapped instruction cache; data bypasses."""
-    cache = hierarchy._fetch_chain[0]
-    sets = cache.sets
-    counts = cache.fast_counts
-    line = cache.config.line_size
-    nsets = cache.config.num_sets
-    f_hit, f_miss = (out.cycles for out in hierarchy._fetch_out)
-    cycles = 0
-    for value in trace.ops:
-        tag = value & 7
-        if tag and tag != 7:
-            continue
-        block = (value >> 3) // line
-        ways = sets[block % nsets]
-        if ways and ways[0] == block:
-            counts[0] += 1
-            cycles += f_hit
-        else:
-            if ways:
-                ways[0] = block
-            else:
-                ways.append(block)
-            counts[1] += 1
-            cycles += f_miss
-    return cycles
 
 
 def _walk_generic(trace: Trace, hierarchy: MemoryHierarchy) -> int:
@@ -553,17 +472,10 @@ def replay_sweep(trace: Trace, configs,
     else:
         plans = [_plan_for(config) for config in configs]
         nsets_list = [plan.caches[0][0].num_sets for plan in plans]
-        if kernels.active_kernel() == "numpy":
-            COUNTERS["sweep_numpy"] += 1
-            counts_list = kernels.dm_sweep_counts(
-                kernels.ops_view(trace.ops), line, unified, nsets_list,
-                memo=trace._memo)
-        else:
-            COUNTERS["sweep_scalar"] += 1
-            tables = [([-1] * nsets, nsets, [0] * 6)
-                      for nsets in nsets_list]
-            _sweep_walk(trace.ops, tables, line, unified)
-            counts_list = [counts for _last, _nsets, counts in tables]
+        COUNTERS["sweep_numpy"] += 1
+        counts_list = kernels.dm_sweep_counts(
+            kernels.ops_view(trace.ops), line, unified, nsets_list,
+            memo=trace._memo)
         results = [
             _plan_result(trace, plan,
                          _sweep_cycles(trace, plan, counts, unified),
@@ -583,62 +495,6 @@ def _sweep_cycles(trace: Trace, plan: _ReplayPlan, counts,
     if unified:
         cycles += counts[2] * plan.dcosts[0] + counts[3] * plan.dcosts[1]
     return cycles
-
-
-def _sweep_walk(ops, tables, line, unified):
-    """The single-pass multi-size kernel over the packed stream.
-
-    ``prev`` is the block of the most recent *allocating* access
-    (fetch/read).  Immediately after it, that block is the MRU line of
-    its set in every candidate size, so a repeat access hits everywhere
-    and no table needs touching — the case that dominates straight-line
-    fetch runs.  Writes never allocate, so they check residency without
-    perturbing the shared recency state.
-    """
-    prev = -1
-    for value in ops:
-        tag = value & 7
-        if tag == 7:
-            tag = 0  # continuation fetches price like plain fetches
-        if tag and not unified:
-            continue  # instruction cache: data bypasses every size
-        block = (value >> 3) // line
-        if tag == 0:
-            if block == prev:
-                for _last, _nsets, counts in tables:
-                    counts[0] += 1
-            else:
-                prev = block
-                for last, nsets, counts in tables:
-                    index = block % nsets
-                    if last[index] == block:
-                        counts[0] += 1
-                    else:
-                        last[index] = block
-                        counts[1] += 1
-        elif tag < 4:
-            if block == prev:
-                for _last, _nsets, counts in tables:
-                    counts[2] += 1
-            else:
-                prev = block
-                for last, nsets, counts in tables:
-                    index = block % nsets
-                    if last[index] == block:
-                        counts[2] += 1
-                    else:
-                        last[index] = block
-                        counts[3] += 1
-        else:
-            if block == prev:
-                for _last, _nsets, counts in tables:
-                    counts[4] += 1
-            else:
-                for last, nsets, counts in tables:
-                    if last[block % nsets] == block:
-                        counts[4] += 1
-                    else:
-                        counts[5] += 1
 
 
 # -- single-pass geometry grids ----------------------------------------------
@@ -667,22 +523,15 @@ def replay_grid(trace: Trace, configs,
     plans = [_plan_for(config) for config in configs]
     specs = [plan.caches[0][0] for plan in plans]
     counts_for = [None] * len(configs)
-    use_numpy = kernels.active_kernel() == "numpy"
 
     dm_positions = [i for i, spec in enumerate(specs) if spec.assoc == 1]
     lru_positions = [i for i, spec in enumerate(specs) if spec.assoc > 1]
 
     if dm_positions:
         nsets_list = [specs[i].num_sets for i in dm_positions]
-        if use_numpy:
-            dm_counts = kernels.dm_sweep_counts(
-                kernels.ops_view(trace.ops), line, unified, nsets_list,
-                memo=trace._memo)
-        else:
-            tables = [([-1] * nsets, nsets, [0] * 6)
-                      for nsets in nsets_list]
-            _sweep_walk(trace.ops, tables, line, unified)
-            dm_counts = [counts for _last, _nsets, counts in tables]
+        dm_counts = kernels.dm_sweep_counts(
+            kernels.ops_view(trace.ops), line, unified, nsets_list,
+            memo=trace._memo)
         for position, counts in zip(dm_positions, dm_counts):
             counts_for[position] = counts
     if lru_positions:
@@ -706,7 +555,7 @@ def replay_grid(trace: Trace, configs,
         for plan, counts in zip(plans, counts_for)]
     COUNTERS["grid_passes"] += 1
     COUNTERS["grid_points"] += len(configs)
-    COUNTERS["grid_numpy" if use_numpy else "grid_scalar"] += 1
+    COUNTERS["grid_numpy"] += 1
     return results
 
 

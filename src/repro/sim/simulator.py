@@ -56,6 +56,7 @@ from ..memory.timing import (
 )
 from ..link.image import Image
 from .engine import compile_program
+from .kernels import tag_counts
 
 _MASK = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -199,7 +200,7 @@ class Simulator:
         """
         # replay and trace import this module
         from .replay import replay
-        from .trace import Trace, tag_counts
+        from .trace import Trace
         program = compile_program(self.code, self.ram, self.regs,
                                   self._spm_limit, SimError, MemoryFault)
         regs = self.regs

@@ -56,18 +56,15 @@ cache; ``repro-cc trace --profile`` dumps the counters.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from functools import partial
 
 from ..memory.hierarchy import SystemConfig
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
+from . import kernels
 # The engine records straight into this layout; the access-kind tags
 # (low 3 bits of every packed word) are defined next to it.
 from .engine import READ_TAGS, TAG_FETCH, TAG_FETCH_CONT, WRITE_TAGS
 from .simulator import Simulator
-
-#: Tags priced as instruction fetches (16-bit wide).
-FETCH_TAGS = (TAG_FETCH, TAG_FETCH_CONT)
 
 #: tag -> access width in bytes (fetches are 16-bit).
 TAG_WIDTH = (2, 1, 2, 4, 1, 2, 4, 2)
@@ -91,13 +88,11 @@ COUNTERS = {
     "sweep_points": 0,
     "grid_passes": 0,
     "grid_points": 0,
-    # Which backend served each replay/sweep/grid pass
-    # (:mod:`repro.sim.kernels` selection; `repro-cc trace --profile`).
+    # Which path served each replay (numpy kernels or the scalar walk)
+    # and each sweep/grid pass (`repro-cc trace --profile`).
     "replay_scalar": 0,
     "replay_numpy": 0,
-    "sweep_scalar": 0,
     "sweep_numpy": 0,
-    "grid_scalar": 0,
     "grid_numpy": 0,
     # Bounded-memory in-process layers (PR 8): evictions from the
     # trace LRU and from the per-trace kernel memos.
@@ -147,11 +142,11 @@ class Trace:
     a ``uint32`` ``count << 1 | stride`` word — so the encoding never
     exceeds the flat stream and shrinks it whenever any run is longer
     than one.  The encoding is lossless; :meth:`compact` drops the flat
-    form (the ``ops`` property re-expands lazily, numpy-accelerated
-    when available), and pickling stores the compact form — that is
-    what shrinks the on-disk trace cache and worker-to-worker
-    transfers.  Foreign ingested streams whose deltas overflow 32 bits
-    stay flat (:meth:`runs` returns None).
+    form (the ``ops`` property re-expands lazily, in numpy), and
+    pickling stores the compact form — that is what shrinks the
+    on-disk trace cache and worker-to-worker transfers.  Foreign
+    ingested streams whose deltas overflow 32 bits stay flat
+    (:meth:`runs` returns None).
 
     A trace derived by :func:`relocate` has neither form at first: its
     counts are exact from the start, and ``_build`` makes the flat
@@ -193,7 +188,7 @@ class Trace:
                 ops = self._ops = self._build()
                 self._build = None
             else:
-                ops = self._ops = _expand_runs(*self._runs)
+                ops = self._ops = kernels.expand_runs(*self._runs)
         return ops
 
     def runs(self):
@@ -322,39 +317,6 @@ def _compress_ops(ops):
     return base, heads, packed
 
 
-def _expand_runs(base, heads, packed):
-    """Decode :func:`_compress_ops` output back into a flat stream."""
-    from . import kernels
-    if kernels.have_numpy():
-        return kernels.expand_runs(base, heads, packed)
-    ops = array("Q")
-    extend = ops.extend
-    append = ops.append
-    first = base
-    for head, record in zip(heads, packed):
-        first += head
-        count = record >> 1
-        if record & 1:
-            extend(range(first, first + count * _RUN_STRIDE,
-                         _RUN_STRIDE))
-        elif count == 1:
-            append(first)
-        else:
-            extend([first] * count)
-    return ops
-
-
-def tag_counts(ops) -> tuple:
-    """Per-tag totals (8 entries) of a packed access stream."""
-    from . import kernels
-    if kernels.have_numpy():
-        return kernels.tag_counts(ops)
-    counts = [0] * 8
-    for value in ops:
-        counts[value & 7] += 1
-    return tuple(counts)
-
-
 def record_trace(image, spm_size: int = None,
                  max_steps: int = 50_000_000) -> Trace:
     """Execute *image* once on the engine and record its access stream.
@@ -434,51 +396,6 @@ def _placement_layout(image):
             noted_pcs)
 
 
-def _object_index(ops, layout):
-    """Scalar :func:`repro.sim.kernels.object_index`: ``(buckets,
-    counts, bad)`` with *bad* the first access the guard rejects, or
-    -1."""
-    _objects, bases, ends, is_code, stack_floor, note_keys, noted_pcs = \
-        layout
-    n = len(bases)
-    width = n + 2
-    buckets = array("H" if width <= 0xFFFF else "l")
-    counts = [[0] * 8 for _ in range(width)]
-    bad = -1
-    pc = pc_bucket = None
-    for position, value in enumerate(ops):
-        tag = value & 7
-        addr = value >> 3
-        slot = bisect_right(bases, addr) - 1
-        if slot >= 0 and addr < ends[slot]:
-            bucket = slot
-        elif addr >= stack_floor:
-            bucket = n
-        else:
-            bucket = n + 1
-        buckets.append(bucket)
-        counts[bucket][tag] += 1
-        if tag == TAG_FETCH:
-            pc, pc_bucket = addr, bucket
-        if bad >= 0:
-            continue
-        if tag in FETCH_TAGS:
-            ok = bucket < n and is_code[bucket]
-        elif pc is None:
-            ok = False
-        elif bucket == n:
-            ok = pc not in noted_pcs
-        elif bucket > n:
-            ok = False
-        elif is_code[bucket]:  # a literal-pool read (tags 1-3)
-            ok = tag <= 3 and bucket == pc_bucket
-        else:
-            ok = pc * width + bucket in note_keys
-        if not ok:
-            bad = position
-    return buckets, [tuple(row) for row in counts], bad
-
-
 def _placement_of(trace: Trace, image) -> _Placement:
     """The object index of baseline *trace* recorded from *image*,
     computed once and kept on the trace."""
@@ -486,14 +403,10 @@ def _placement_of(trace: Trace, image) -> _Placement:
     placement = trace._placement
     if placement is not None and placement.key == key:
         return placement
-    from . import kernels
     layout = _placement_layout(image)
     ops = trace.ops
-    if kernels.have_numpy():
-        buckets, counts, bad = kernels.object_index(
-            kernels.ops_view(ops), *layout[1:])
-    else:
-        buckets, counts, bad = _object_index(ops, layout)
+    buckets, counts, bad = kernels.object_index(kernels.ops_view(ops),
+                                                *layout[1:])
     refusal = None
     if bad >= 0:
         refusal = (f"access #{bad} (to {ops[bad] >> 3:#x}) is not "
@@ -574,16 +487,8 @@ def relocate(trace: Trace, recorded_image, image,
 
 def _relocated_ops(trace, buckets, shifts, keep):
     """The packed stream of a relocated trace (see :func:`relocate`)."""
-    from . import kernels
-    if kernels.have_numpy():
-        return kernels.relocate_ops(kernels.ops_view(trace.ops), buckets,
-                                    shifts, keep)
-    ops = array("Q")
-    append = ops.append
-    for value, bucket in zip(trace.ops, buckets):
-        if keep[bucket]:
-            append(value + shifts[bucket])
-    return ops
+    return kernels.relocate_ops(kernels.ops_view(trace.ops), buckets,
+                                shifts, keep)
 
 
 def placed_trace(baseline, image, spm_size: int = None,

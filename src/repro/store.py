@@ -25,11 +25,12 @@ pickles wrapped in a checksummed envelope::
 
     repro-store 1 <kind><checksum> <payload-length>\\n<payload>
 
-where *kind* is ``s`` (64-bit word-sum, computed at memory bandwidth
-through numpy when available — the envelope must cost a few percent
-of the raw pickle round trip, not half of it) or ``c`` (``zlib.crc32``
-for numpy-free environments); readers verify whichever kind the file
-declares.  Entries are written atomically
+where *kind* is always ``s``: a 64-bit word-sum, computed at memory
+bandwidth through numpy — the envelope must cost a few percent of the
+raw pickle round trip, not half of it.  Any other kind (including the
+``c`` crc32 entries older numpy-free writers produced) is rejected
+like a checksum mismatch, so such an entry is quarantined and
+recomputed.  Entries are written atomically
 (``{path}.tmp{pid}`` + ``os.replace``) into
 2-hex-character shard directories named by the sha256 of the entry key.
 Loads verify the envelope before unpickling; failures move the file to
@@ -66,13 +67,9 @@ import hashlib
 import os
 import pickle
 import warnings
-import zlib
 from collections import OrderedDict
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy job
-    _np = None
+import numpy as _np
 
 #: Envelope magic + format version.  Bump on layout changes: old
 #: entries then quarantine-free miss (the magic no longer matches and
@@ -199,21 +196,14 @@ class LRUCache:
 def _sum64(buffer, offset: int = 0) -> int:
     """64-bit native-endian word-sum of ``buffer[offset:]`` + tail.
 
-    Any single corrupted region changes the sum; the numpy path runs
-    at memory bandwidth, which is what keeps the whole envelope inside
+    Any single corrupted region changes the sum; numpy runs it at
+    memory bandwidth, which is what keeps the whole envelope inside
     the store-overhead budget (*offset* lets the verifier sum directly
-    out of the read blob, no payload copy).  The numpy-free fallback
-    (``array``) computes the identical value, so stores written with
-    numpy verify without it and vice versa.
+    out of the read blob, no payload copy).
     """
     trim = (len(buffer) - offset) & ~7
-    if _np is not None:
-        total = int(_np.frombuffer(buffer, _np.uint8, trim, offset)
-                    .view(_np.uint64).sum(dtype=_np.uint64))
-    else:
-        from array import array
-        total = sum(array("Q", bytes(buffer[offset:offset + trim]))) \
-            & _MASK64
+    total = int(_np.frombuffer(buffer, _np.uint8, trim, offset)
+                .view(_np.uint64).sum(dtype=_np.uint64))
     tail = bytes(buffer[offset + trim:])
     if tail:
         total = (total + int.from_bytes(tail, "little")) & _MASK64
@@ -221,11 +211,8 @@ def _sum64(buffer, offset: int = 0) -> int:
 
 
 def _header_for(payload) -> bytes:
-    if _np is not None:
-        return (_MAGIC + b"s%016x %016x" % (_sum64(payload),
-                                            len(payload)) + _PAD)
-    return (_MAGIC + b"c%016x %016x" % (zlib.crc32(payload),
-                                        len(payload)) + _PAD)
+    return (_MAGIC + b"s%016x %016x" % (_sum64(payload), len(payload))
+            + _PAD)
 
 
 def envelope(payload: bytes) -> bytes:
@@ -252,13 +239,7 @@ def open_envelope(blob):
         return None
     if len(blob) - _HEADER_LEN != length:
         return None
-    if kind == b"s":
-        if _sum64(blob, _HEADER_LEN) != checksum:
-            return None
-    elif kind == b"c":
-        if zlib.crc32(memoryview(blob)[_HEADER_LEN:]) != checksum:
-            return None
-    else:
+    if kind != b"s" or _sum64(blob, _HEADER_LEN) != checksum:
         return None
     return memoryview(blob)[_HEADER_LEN:]
 

@@ -1,20 +1,18 @@
 """Pins for the vectorised replay kernels and the trace RLE form.
 
-Four layers:
+Three layers:
 
-* **backend differential** — every committed hierarchy shape replayed
-  under the scalar and the numpy kernels must agree on the full result
-  (the scalar walk is itself pinned against the execution engine by
-  ``tests/test_trace_replay.py``, so agreement here closes the loop);
+* **kernel differential** — every committed hierarchy shape priced by
+  :func:`replay` (the numpy kernels wherever the pipeline is
+  direct-mapped LRU) must agree on the full result with the scalar
+  walk over the hierarchy's touch closures (``_walk_replay``, which
+  ``tests/test_trace_replay.py`` pins against the oracle interpreter
+  through the shapes it serves);
 * **geometry-grid property** — one :func:`replay_grid` pass over a
-  (size × associativity) grid must equal per-point replays on
-  adversarial synthetic streams (hypothesis-driven, write-heavy
-  included) and equal the engine on generated (``gen:<seed>``)
-  programs;
-* **kernel selection** — the ``set_kernel`` override, the
-  ``REPRO_REPLAY_KERNEL`` environment knob, and the numpy-absent
-  fallback (the scalar kernels must serve everything when
-  ``kernels._np`` is None, which is what the numpy-less CI job runs);
+  (size × associativity) grid must equal per-point replays and the
+  scalar walk on adversarial synthetic streams (hypothesis-driven,
+  write-heavy included) and equal the oracle on generated
+  (``gen:<seed>``) programs;
 * **run-length encoding** — compress/expand round trips (strided,
   constant and unencodable streams), the pickle fast path in both its
   ``"runs"`` and ``"flat"`` branches, and :meth:`Trace.compact`.
@@ -34,9 +32,8 @@ from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
 from repro.sim import simulate_oracle
 from repro.sim import kernels
-from repro.sim.replay import replay, replay_grid, replay_sweep
+from repro.sim.replay import _plan_for, _walk_replay, replay, replay_grid
 from repro.sim.trace import (READ_TAGS, WRITE_TAGS, Trace, record_trace)
-from repro.sim import trace as trace_mod
 
 SPM_SIZE = 512
 
@@ -57,9 +54,6 @@ SHAPES = {
     "split-i/d": lambda: SystemConfig.split_l1(
         CacheConfig(size=256, unified=False), CacheConfig(size=256)),
 }
-
-needs_numpy = pytest.mark.skipif(not kernels.have_numpy(),
-                                 reason="numpy not installed")
 
 _IMAGES = {}
 _TRACES = {}
@@ -107,25 +101,19 @@ def _assert_same(got, want, context):
             _stats_tuple(want.level_stats[level]), (context, level)
 
 
-@pytest.fixture(autouse=True)
-def _reset_kernel():
-    yield
-    kernels.set_kernel(None)
+def _walk(trace, config):
+    """The scalar reference: every access walked through the hierarchy."""
+    return _walk_replay(trace, config, _plan_for(config))
 
 
-# -- backend differential over every committed shape -------------------------
+# -- kernel differential over every committed shape --------------------------
 
-@needs_numpy
 @pytest.mark.parametrize("shape", SHAPES)
 def test_numpy_matches_scalar_every_shape(shape):
     spm = shape in ("spm", "hybrid")
     trace = _trace(spm)
     config = SHAPES[shape]()
-    kernels.set_kernel("scalar")
-    want = replay(trace, config)
-    kernels.set_kernel("numpy")
-    got = replay(trace, config)
-    _assert_same(got, want, shape)
+    _assert_same(replay(trace, config), _walk(trace, config), shape)
 
 
 # -- geometry grid: one pass == per-point == engine --------------------------
@@ -168,21 +156,12 @@ def _grid_configs(unified, sizes=(128, 512), assocs=(1, 2, 4, 8)):
        write_frac=st.sampled_from((0.15, 0.45)))
 def test_grid_property_matches_per_point(seed, write_frac):
     trace = _synthetic_trace(random.Random(seed), write_frac=write_frac)
-    backends = ("scalar", "numpy") if kernels.have_numpy() else ("scalar",)
-    results = {}
     for unified in (True, False):
         configs = _grid_configs(unified)
-        for backend in backends:
-            kernels.set_kernel(backend)
-            for pos, (config, priced) in enumerate(
-                    zip(configs, replay_grid(trace, configs))):
-                _assert_same(priced, replay(trace, config),
-                             (seed, backend, config.name))
-                results.setdefault((unified, pos), []).append(priced)
-    kernels.set_kernel(None)
-    for name, priced in results.items():
-        for other in priced[1:]:
-            _assert_same(other, priced[0], ("backends", seed, name))
+        for config, priced in zip(configs, replay_grid(trace, configs)):
+            context = (seed, config.name)
+            _assert_same(priced, replay(trace, config), context)
+            _assert_same(priced, _walk(trace, config), context)
 
 
 @pytest.mark.parametrize("seed", (101, 4242))
@@ -200,7 +179,6 @@ def test_grid_matches_engine_on_generated_programs(seed):
             assert priced.console == executed.console
 
 
-@needs_numpy
 def test_sweep_counts_non_chain_and_shuffled_orders():
     trace = _synthetic_trace(random.Random(7))
     values = kernels.ops_view(trace.ops)
@@ -213,57 +191,6 @@ def test_sweep_counts_non_chain_and_shuffled_orders():
                 for nsets in nsets_list]
             got = kernels.dm_sweep_counts(values, 16, unified, nsets_list)
             assert got == expect, (unified, nsets_list)
-
-
-# -- kernel selection ---------------------------------------------------------
-
-def test_set_kernel_validation():
-    with pytest.raises(ValueError):
-        kernels.set_kernel("fortran")
-    kernels.set_kernel("scalar")
-    assert kernels.active_kernel() == "scalar"
-    kernels.set_kernel("auto")
-    assert kernels.active_kernel() in ("scalar", "numpy")
-
-
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "scalar")
-    assert kernels.active_kernel() == "scalar"
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "cobol")
-    with pytest.raises(RuntimeError):
-        kernels.active_kernel()
-    # An installed override beats the environment.
-    kernels.set_kernel("scalar")
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "numpy")
-    assert kernels.active_kernel() == "scalar"
-
-
-def test_numpy_requested_but_absent(monkeypatch):
-    monkeypatch.setattr(kernels, "_np", None)
-    assert not kernels.have_numpy()
-    with pytest.raises(RuntimeError):
-        kernels.set_kernel("numpy")
-    monkeypatch.setenv("REPRO_REPLAY_KERNEL", "numpy")
-    with pytest.raises(RuntimeError):
-        kernels.active_kernel()
-
-
-def test_replay_without_numpy_falls_back(monkeypatch):
-    trace = _synthetic_trace(random.Random(3))
-    config = SystemConfig.cached(CacheConfig(size=512))
-    want = None
-    if kernels.have_numpy():
-        kernels.set_kernel("numpy")
-        want = replay(trace, config)
-        kernels.set_kernel(None)
-    monkeypatch.setattr(kernels, "_np", None)
-    assert kernels.active_kernel() == "scalar"
-    got = replay(trace, config)
-    for c, p in zip(_grid_configs(True, sizes=(256,)),
-                    replay_grid(trace, _grid_configs(True, sizes=(256,)))):
-        _assert_same(p, replay(trace, c), ("no-numpy grid", c.name))
-    if want is not None:
-        _assert_same(got, want, "no-numpy replay")
 
 
 # -- run-length encoding ------------------------------------------------------
@@ -287,22 +214,12 @@ def test_rle_round_trip_strided_and_constant():
     runs = trace.runs()
     assert runs is not None
     assert len(runs[2]) < len(ops)  # actually compressed
-    assert list(trace_mod._expand_runs(*runs)) == ops
+    assert list(kernels.expand_runs(*runs)) == ops
     flat = [value
             for first, count, stride in trace.iter_runs()
             for value in (range(first, first + 16 * count, 16) if stride
                           else [first] * count)]
     assert flat == ops
-
-
-def test_rle_scalar_expand_matches_numpy(monkeypatch):
-    ops = [((0x8000 + 2 * i) << 3) for i in range(50)] + \
-        [((0x9000 << 3) | 2)] * 7 + [((0x6000 << 3) | 1)]
-    trace = _raw_trace(ops)
-    runs = trace.runs()
-    expanded = list(trace_mod._expand_runs(*runs))
-    monkeypatch.setattr(kernels, "_np", None)
-    assert list(trace_mod._expand_runs(*runs)) == expanded == ops
 
 
 def test_rle_refuses_foreign_overflow():
@@ -352,7 +269,6 @@ def test_recorded_trace_rle_round_trips():
     _assert_same(replay(clone, config), replay(trace, config), "rle clone")
 
 
-@needs_numpy
 def test_tag_counts_match_scalar_loop():
     """The bincount that sizes a recorded trace's per-tag totals equals
     the plain loop it replaces, on native and synthetic streams."""

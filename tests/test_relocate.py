@@ -8,10 +8,6 @@ oracle interpreter run of the placed image (:func:`simulate_oracle`).
 The guard that makes relocation sound must refuse a program that
 indexes one global into its neighbour, and the fallback recording must
 still price it right.
-
-The numpy-less CI job runs this module too: the greedy placements and
-the hybrid differentials need no LP, so the scalar object index stays
-pinned to the oracle there; the allocator-driven points skip.
 """
 
 import pytest
@@ -20,7 +16,7 @@ from repro.experiments.common import workflow_for
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.sim import kernels, simulate_oracle
+from repro.sim import simulate_oracle
 from repro.sim import trace as trace_mod
 from repro.sim.replay import replay, replay_misses
 from repro.sim.simulator import Simulator
@@ -44,10 +40,6 @@ from .helpers import (
     suite_program,
 )
 
-needs_lp = pytest.mark.skipif(not kernels.have_numpy(),
-                              reason="SPM allocation and WCET pricing "
-                                     "need the numpy LP solver")
-
 BENCHES = ("g721", "adpcm", "multisort")
 
 
@@ -64,7 +56,6 @@ def _assert_same_trace(derived, recorded, context):
 
 # -- (a) every paper SPM point: relocated == recorded == oracle --------------
 
-@needs_lp
 @pytest.mark.parametrize("method", ("energy", "wcet"))
 @pytest.mark.parametrize("bench", BENCHES)
 def test_spm_points_relocate_exactly(bench, method):
@@ -86,8 +77,8 @@ def test_spm_points_relocate_exactly(bench, method):
 
 @pytest.mark.parametrize("bench", BENCHES)
 def test_greedy_placements_relocate_exactly(bench):
-    """The same bit-for-bit differential on LP-free placements, so the
-    numpy-less backend is covered at every paper size."""
+    """The same bit-for-bit differential on LP-free placements at
+    every paper size."""
     program = suite_program(bench)
     baseline = suite_image(bench, spm=False)
     recording = trace_for(baseline, 0)
@@ -96,25 +87,6 @@ def test_greedy_placements_relocate_exactly(bench):
                      spm_objects=greedy_spm_objects(program, size))
         _assert_same_trace(relocate(recording, baseline, image, size),
                            record_trace(image, size), (bench, size))
-
-
-def test_scalar_object_index_matches_numpy(monkeypatch):
-    if not kernels.have_numpy():
-        pytest.skip("compares the two backends")
-    baseline = suite_image("multisort", spm=False)
-    recording = trace_for(baseline, 0)
-    layout = trace_mod._placement_layout(baseline)
-    fast = kernels.object_index(kernels.ops_view(recording.ops),
-                                *layout[1:])
-    buckets, counts, bad = trace_mod._object_index(recording.ops, layout)
-    assert list(fast[0]) == list(buckets)
-    assert fast[1] == counts
-    assert fast[2] == bad == -1
-    image = suite_image("multisort", spm=True)
-    expected = relocate(recording, baseline, image, SPM_SIZE).ops
-    monkeypatch.setattr(kernels, "have_numpy", lambda: False)
-    scalar = relocate(record_trace(baseline, 0), baseline, image, SPM_SIZE)
-    assert scalar.ops == expected
 
 
 # -- (b) hybrid placements: SPM with a cache behind it -----------------------
@@ -147,7 +119,6 @@ def test_two_way_hybrid_relocation_matches_oracle():
     assert main == dict(reference.fetch_main_misses)
 
 
-@needs_lp
 @pytest.mark.parametrize("assoc", (1, 2))
 def test_hybrid_points_match_oracle(assoc):
     workflow = workflow_for("adpcm")
@@ -208,7 +179,6 @@ def test_out_of_bounds_index_refuses_relocation(fresh_counters):
                        simulate_oracle(image, config), "overrun")
 
 
-@needs_lp
 def test_out_of_bounds_point_still_equals_oracle(fresh_counters):
     refused = fresh_counters["relocations_refused"]
     point = Workflow(_OVERRUN_SOURCE).spm_point(64)
@@ -251,7 +221,6 @@ int main(void) {
 """
 
 
-@needs_lp
 def test_spm_sweep_executes_only_the_baseline_once(fresh_counters,
                                                     monkeypatch):
     executed = []

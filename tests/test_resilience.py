@@ -21,6 +21,7 @@ import pickle
 import subprocess
 import sys
 import time
+import zlib
 
 import pytest
 
@@ -66,6 +67,15 @@ class TestEnvelope:
         assert open_envelope(b"") is None
         assert open_envelope(b"not a pickle") is None
         assert open_envelope(b"repro-store 9 " + b"0" * 40) is None
+        # A crc32 (kind ``c``) header from an older writer, with the
+        # right checksum: rejected for its kind like any unknown one.
+        payload = b"the payload bytes"
+        blob = envelope(payload)
+        head = b"c%016x %016x" % (zlib.crc32(payload), len(payload))
+        start = len(b"repro-store 1 ")
+        assert blob[start:start + 1] == b"s"
+        legacy = blob[:start] + head + blob[start + len(head):]
+        assert open_envelope(legacy) is None
 
     def test_rejects_bit_flip(self):
         blob = bytearray(envelope(b"the payload bytes"))

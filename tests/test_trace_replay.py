@@ -16,7 +16,9 @@ Three layers of evidence that replay is exact:
   served by one recorded trace and one single-pass replay.
 """
 
+import importlib
 import random
+import weakref
 from array import array
 
 import pytest
@@ -39,18 +41,10 @@ from repro.sim.trace import (
     set_trace_cache_dir,
     trace_for,
 )
-from repro.sim import kernels
 from repro.workflow import Workflow
 
 from .helpers import SHAPES, SPM_SIZE, oracle, suite_image
 from .helpers import assert_same_result as _assert_same
-
-#: Workflow pricing runs the IPET LP, which has a hard numpy
-#: dependency — unlike replay itself, which falls back to the scalar
-#: kernels (the numpy-less CI job runs this module).
-needs_lp = pytest.mark.skipif(not kernels.have_numpy(),
-                              reason="WCET pricing needs the numpy "
-                                     "LP solver")
 
 _TRACES = {}
 
@@ -101,6 +95,26 @@ def test_replay_respects_step_budget():
     with pytest.raises(SimError):
         replay(trace, SystemConfig.uncached(),
                max_steps=trace.instructions - 1)
+
+
+def test_replay_plans_are_keyed_by_value_and_keep_no_config(monkeypatch):
+    # Workflow points build a fresh SystemConfig each time; the plan
+    # memo must share one plan between equal configs and hold none of
+    # them alive.
+    # (``repro.sim.replay`` the attribute is the function, so fetch the
+    # module itself.)
+    replay_mod = importlib.import_module("repro.sim.replay")
+    monkeypatch.setattr(replay_mod, "_PLANS", {})
+    trace = _random_trace(random.Random(5), accesses=500)
+    results = set()
+    for _ in range(50):
+        config = SystemConfig.cached(CacheConfig(size=256, assoc=2))
+        results.add(replay(trace, config).cycles)
+    assert len(replay_mod._PLANS) == 1
+    assert len(results) == 1
+    ref = weakref.ref(config)
+    del config
+    assert ref() is None
 
 
 # -- randomized property: single pass == per-size replay ---------------------
@@ -245,7 +259,6 @@ int main(void) {
 """
 
 
-@needs_lp
 def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
     counters = fresh_trace_cache
     counters.update(trace_hits=0, trace_misses=0, trace_records=0,
@@ -272,7 +285,6 @@ def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
                      point.config.name)
 
 
-@needs_lp
 def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
     counters = fresh_trace_cache
     counters.update(trace_records=0, sweep_passes=0, grid_passes=0,
@@ -299,7 +311,6 @@ def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
                      point.config.name)
 
 
-@needs_lp
 def test_uncached_point_is_memoized():
     workflow = Workflow(_SWEEP_SOURCE)
     assert workflow.uncached_point() is workflow.uncached_point()
