@@ -10,8 +10,7 @@ data files read through :mod:`importlib.resources` at runtime
 the package via ``package_data`` — not only in the source tree.
 
 numpy is a hard requirement: the LP solver behind the WCET analysis
-(:mod:`repro.ilp.simplex`) raises without it.  The replay kernels alone
-would fall back to their scalar walks.
+(:mod:`repro.ilp.simplex`) raises without it.
 """
 
 from setuptools import find_namespace_packages, setup

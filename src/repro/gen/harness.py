@@ -18,9 +18,10 @@ increasing depth:
    oracle run of the placed image, pure SPM and with a cache behind;
 3. **WCET soundness** — the static bound dominates the simulated cycle
    count on every shape (the paper's core invariant);
-4. **abstract-domain differential** — with ``domains=True`` the packed
-   bitset cache analysis and the dict-based reference produce identical
-   per-instruction classifications.
+4. **abstract-domain differential** — with ``domains=True`` the compiled
+   packed-bitset cache analysis and the independent dict-based oracle
+   (:func:`repro.testing.cache_oracle.reference_hierarchy`) produce
+   identical per-instruction classifications on every cache level.
 
 Failures raise :class:`SoundnessFailure` whose message embeds the
 ``repro-gen`` command line that regenerates the exact program, so a
@@ -187,17 +188,17 @@ def check_spm_placement(program: GeneratedProgram,
 
 
 def _check_domains(image, config, context):
-    """Packed bitset vs dict abstract domains: identical classes."""
+    """Packed analysis vs the dict-based oracle: identical classes."""
+    from ..testing.cache_oracle import reference_hierarchy
     from ..wcet import build_all_cfgs
     from ..wcet.cacheanalysis import analyze_hierarchy
     from ..wcet.stackdepth import stack_region
     cfgs = build_all_cfgs(image)
     entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
     rng = stack_region(cfgs, "_start", entry_by_addr)
-    packed, plain = (
-        analyze_hierarchy(image, cfgs, config, rng, "_start",
-                          domain=domain, reuse=False)
-        for domain in ("packed", "dict"))
+    packed = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                               reuse=False)
+    plain = reference_hierarchy(image, cfgs, config, rng, "_start")
     for level_packed, level_dict in zip(packed.levels, plain.levels):
         for ours, reference in (
                 (level_packed.iresult, level_dict.iresult),
@@ -211,5 +212,5 @@ def _check_domains(image, config, context):
                     f"[{context}]")
             for addr, entry in ours.classes.items():
                 _expect(vars(entry) == vars(reference.classes[addr]),
-                        f"packed vs dict domain diverged at "
+                        f"packed analysis vs oracle diverged at "
                         f"{addr:#x} [{context}]")

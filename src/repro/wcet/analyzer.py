@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from ..isa.opcodes import Op
 from ..link.image import Image
 from ..memory.hierarchy import SystemConfig
+from ..store import LRUCache
 from . import cacheanalysis
 from .accesses import resolve_all
 from .cacheanalysis import FM, analyze_hierarchy
@@ -42,11 +43,19 @@ class WCETError(Exception):
     pass
 
 
+#: Memo bounds.  A long-lived process (a ``repro-serve`` worker) sees an
+#: endless stream of new images, so both memos evict least recently
+#: used entries.  The caps sit above the peaks of one serial full
+#: ``repro-experiments`` run (39 frontend / 906 IPET entries) and one
+#: 15-second ``cache-dse`` sweep (52 / 2851): those runs never evict.
+FRONTEND_CAPACITY = 128
+IPET_CAPACITY = 4096
+
 #: (image content key, entry) -> (cfgs, entry_by_addr, stack, accesses).
-_FRONTEND_CACHE = {}
+_FRONTEND_CACHE = LRUCache(FRONTEND_CAPACITY)
 
 #: exact IPET inputs -> IPETResult (the solver is deterministic).
-_IPET_CACHE = {}
+_IPET_CACHE = LRUCache(IPET_CAPACITY)
 
 COUNTERS = {
     "frontend_hits": 0,
@@ -171,15 +180,12 @@ def _call_order(cfgs, entry_by_addr, entry: str):
 
 
 def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
-                 persistence: bool = False,
-                 domain: str = "packed") -> WCETResult:
+                 persistence: bool = False) -> WCETResult:
     """Compute a safe WCET bound for *image* under *config*.
 
     *persistence* enables the optional first-miss cache analysis
     (the paper's "full aiT" ablation); it has no effect on scratchpad or
-    uncached systems.  *domain* selects the abstract cache domain —
-    ``"packed"`` (the bitset default) or ``"dict"`` (the retained
-    reference semantics, used by differential fuzzing).
+    uncached systems.
     """
     # Memoized frontend: CFGs, stack range and every instruction's
     # resolved data access, shared by all levels and the cost model.
@@ -191,7 +197,7 @@ def analyze_wcet(image: Image, config: SystemConfig, entry: str = "_start",
     if config.has_cache:
         hierarchy_result = analyze_hierarchy(
             image, cfgs, config, stack_rng, entry, persistence=persistence,
-            resolved_accesses=data_accesses, domain=domain)
+            resolved_accesses=data_accesses)
         cache_result = hierarchy_result.primary
 
     costs = CostModel(config, data_accesses, hierarchy_result)

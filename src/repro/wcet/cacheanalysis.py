@@ -1,16 +1,17 @@
-"""Abstract-interpretation cache analysis (Ferdinand-style MUST analysis).
+"""Abstract-interpretation cache analysis (Ferdinand-style MUST + MAY).
 
-This is the analyser the paper attributes to aiT's cache module — with the
-same restriction its experimental ARM7 version had: a **MUST analysis
-only** (guaranteed cache contents), without MAY or persistence.  An
-optional scope-based persistence analysis is provided as the paper's
-"full cache analysis would improve things" ablation.
+This is the analyser the paper attributes to aiT's cache module.  Its
+experimental ARM7 version ran a MUST analysis only; here a **MUST
+analysis** (guaranteed cache contents) classifies every fetch and data
+read as always-hit (AH) or not-classified (NC), a **MAY analysis**
+(possibly-resident blocks) proves always-miss facts for the next level
+down, and an optional scope-based persistence analysis labels loop
+fetches first-miss (FM) — the paper's "full cache analysis would
+improve things" ablation.
 
-Domain: per cache set, a map ``memory block -> maximal LRU age`` with at
-most ``assoc`` entries.  A block in the map is *guaranteed* resident.
-Join is intersection with per-block maximum age (classic must-join).
-
-Transfer per access:
+MUST domain: per cache set, the blocks guaranteed resident with their
+maximal LRU age (below ``assoc``); join is intersection with per-block
+maximum age (classic must-join).  Transfer per access:
 
 * known address: the block moves to age 0; blocks younger than its old age
   (or all, if it was absent) age by one; age >= assoc evicts;
@@ -20,10 +21,14 @@ Transfer per access:
   block but never allocates; an unknown write can only reshuffle recency,
   which ages conservatively without evicting.
 
+MAY domain: per set, the blocks possibly resident (never evicted, so
+the fixpoint converges in a couple of sweeps), or TOP when a range or
+unknown read may load any block of the set.  An access whose blocks
+are all absent is always-miss.
+
 The analysis runs over the interprocedural CFG (call and return edges,
-context-insensitive), then a classification pass labels every fetch and
-every data read as always-hit (AH) / not-classified (NC), plus first-miss
-(FM) with a loop scope when persistence is enabled.
+context-insensitive): a worklist fixpoint per domain, then a
+classification pass over every reachable block.
 
 Multi-level hierarchies (Hardy & Puaut, "WCET analysis of multi-level
 set-associative instruction caches"): each cache level is analysed in
@@ -31,7 +36,7 @@ turn, outermost first, under a **cache access classification** (CAC)
 derived from the level above — an access is *Always* performed at L1;
 at level k+1 it is *Never* performed when level k classified it
 always-hit, *Always* performed when level k classified it always-miss
-(a MAY analysis proves the block cannot be resident), and *Uncertain*
+(the MAY analysis proves the block cannot be resident), and *Uncertain*
 otherwise.  Uncertain accesses use a joined transfer
 (state-with-access ⊓ state-without), which keeps the deeper level's MUST
 state sound whether or not the access reaches it; only A accesses (and
@@ -44,19 +49,18 @@ unclassified L1 misses all the way to main memory.
 pipeline a :class:`~repro.memory.hierarchy.SystemConfig` can express —
 unified, instruction-only, split I/D, hybrid SPM+cache, L1+L2.
 
-Two engineering layers sit on top of the abstract domains (see
-``docs/performance.md``):
+Two engineering layers make it fast (see ``docs/performance.md``):
 
 * the **packed bitset domain** (:class:`PackedCacheDomain`): every cache
   block one analysis can insert is numbered once, a MUST state becomes
   ``assoc`` cumulative age masks (word *k* holds the blocks of age <= k)
   and a MAY state a single possibly-resident mask plus a per-set TOP
-  mask, so transfers and joins are a handful of bulk ``&``/``|``
-  operations and a state's fingerprint is the word tuple itself.  States
-  are hash-consed (interned), so the fixpoint's out-state memoization
-  and join change-detection are pointer comparisons.  The dict-based
-  :class:`MustCache`/:class:`MayCache` remain the executable reference
-  semantics (``CacheAnalysis(domain="dict")``) for differential tests;
+  mask.  Each basic block's cache effect is compiled once into a packed
+  program with the classification probes interleaved; the fixpoints run
+  it with the probes stripped over hash-consed (interned) states, so
+  out-state memoization and join change-detection are pointer
+  comparisons.  The independent dict-based reference the tests check
+  this against lives in the test-support package, not here;
 * a **content-addressed analysis reuse cache** keyed by (image content
   hash, cache config, CAC inputs, ...): :func:`analyze_hierarchy`
   consults it before running a level's fixpoints, so a sweep point that
@@ -70,209 +74,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa.opcodes import Op
 from ..memory.cache import CacheConfig
 from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
 from .accesses import resolve_all, resolve_data_access
 from .cfg import FunctionCFG
-
-
-# --------------------------------------------------------------------------
-# Abstract must-cache state
-# --------------------------------------------------------------------------
-
-class MustCache:
-    """Per-set ``block -> max age`` maps; absence means "not guaranteed"."""
-
-    __slots__ = ("config", "sets")
-
-    def __init__(self, config: CacheConfig, sets=None):
-        self.config = config
-        self.sets = sets if sets is not None else {}
-
-    def copy(self) -> "MustCache":
-        return MustCache(self.config,
-                         {s: dict(ages) for s, ages in self.sets.items()})
-
-    def __eq__(self, other):
-        return self.sets == other.sets
-
-    def fingerprint(self):
-        """Hashable snapshot of the abstract state.
-
-        The fixpoint driver memoizes each node's out-state fingerprint,
-        so an unchanged transfer result short-circuits all successor
-        joins instead of deep-comparing dicts edge by edge.
-        """
-        return tuple(sorted(
-            (index, tuple(sorted(ages.items())))
-            for index, ages in self.sets.items() if ages))
-
-    # -- transfer -----------------------------------------------------------
-
-    def _age_younger(self, ages, block: int, threshold: int):
-        """Age (and evict past assoc) every block younger than
-        *threshold*, except *block* itself — the LRU aging both the
-        definite and the uncertain transfer share."""
-        for other, age in list(ages.items()):
-            if other != block and age < threshold:
-                new_age = age + 1
-                if new_age >= self.config.assoc:
-                    del ages[other]
-                else:
-                    ages[other] = new_age
-
-    def access_block(self, block: int, allocate=True):
-        """A definite access to *block* (read, or write hit refresh)."""
-        config = self.config
-        index = (block % config.num_sets)
-        ages = self.sets.get(index)
-        if ages is None:
-            if not allocate:
-                return
-            ages = self.sets[index] = {}
-        old_age = ages.get(block)
-        if old_age is None:
-            if not allocate:
-                # Write miss, no allocation: recency may shift arbitrarily
-                # among resident blocks -> age everyone, no eviction.
-                for other in ages:
-                    ages[other] = min(ages[other] + 1, config.assoc - 1)
-                return
-            threshold = config.assoc  # everyone ages
-        else:
-            threshold = old_age
-        self._age_younger(ages, block, threshold)
-        ages[block] = 0
-
-    def access_block_uncertain(self, block: int):
-        """A read of *block* that may or may not occur (CAC ``U``).
-
-        Equivalent to ``join(state after access, state unchanged)`` but
-        computed in place: the accessed block never gains residency or
-        youth, every other block ages as the definite access would have
-        aged it.  Sound whichever way the uncertainty resolves.  (Writes
-        never take this path — write-through stores reach every level
-        definitely.)
-        """
-        index = block % self.config.num_sets
-        ages = self.sets.get(index)
-        if not ages:
-            return
-        old_age = ages.get(block)
-        threshold = self.config.assoc if old_age is None else old_age
-        self._age_younger(ages, block, threshold)
-        if not ages:
-            del self.sets[index]
-
-    def age_set(self, index: int, evict=True):
-        """An unknown access may touch set *index*: age everything."""
-        ages = self.sets.get(index)
-        if not ages:
-            return
-        for block, age in list(ages.items()):
-            new_age = age + 1
-            if evict and new_age >= self.config.assoc:
-                del ages[block]
-            else:
-                ages[block] = min(new_age, self.config.assoc - 1)
-        if not ages:
-            del self.sets[index]
-
-    def contains(self, block: int) -> bool:
-        index = block % self.config.num_sets
-        return block in self.sets.get(index, ())
-
-    def join_with(self, other: "MustCache") -> bool:
-        """In-place must-join (intersection, max age); True if changed."""
-        changed = False
-        for index in list(self.sets):
-            ages = self.sets[index]
-            other_ages = other.sets.get(index, {})
-            for block in list(ages):
-                if block not in other_ages:
-                    del ages[block]
-                    changed = True
-                elif other_ages[block] > ages[block]:
-                    ages[block] = other_ages[block]
-                    changed = True
-            if not ages:
-                del self.sets[index]
-        return changed
-
-
-#: Sentinel: a MayCache set that may contain *any* block.
-MAY_TOP = "may-top"
-
-
-class MayCache:
-    """Per-set overapproximation of possibly-resident blocks.
-
-    Deliberately coarse: blocks are never evicted (the set only grows),
-    so membership is monotone and the fixpoint converges in a couple of
-    sweeps.  A block *absent* from the may-state is guaranteed not
-    resident — its access is **always-miss**, which is what licenses a
-    CAC of ``A`` at the next level down (Hardy & Puaut).  Range and
-    unknown accesses may load any block of their sets, modelled by the
-    :data:`MAY_TOP` sentinel.
-    """
-
-    __slots__ = ("config", "sets")
-
-    def __init__(self, config: CacheConfig, sets=None):
-        self.config = config
-        self.sets = sets if sets is not None else {}
-
-    def copy(self) -> "MayCache":
-        return MayCache(self.config,
-                        {s: (blocks if blocks is MAY_TOP else set(blocks))
-                         for s, blocks in self.sets.items()})
-
-    def fingerprint(self):
-        """Hashable snapshot (see :meth:`MustCache.fingerprint`)."""
-        return tuple(sorted(
-            (index, MAY_TOP if blocks is MAY_TOP
-             else tuple(sorted(blocks)))
-            for index, blocks in self.sets.items() if blocks))
-
-    def add_block(self, block: int):
-        index = block % self.config.num_sets
-        blocks = self.sets.get(index)
-        if blocks is MAY_TOP:
-            return
-        if blocks is None:
-            self.sets[index] = {block}
-        else:
-            blocks.add(block)
-
-    def mark_top(self, index: int):
-        self.sets[index] = MAY_TOP
-
-    def mark_all_top(self):
-        for index in range(self.config.num_sets):
-            self.sets[index] = MAY_TOP
-
-    def may_contain(self, block: int) -> bool:
-        blocks = self.sets.get(block % self.config.num_sets)
-        return blocks is MAY_TOP or (blocks is not None and block in blocks)
-
-    def join_with(self, other: "MayCache") -> bool:
-        """In-place may-join (union); True if changed."""
-        changed = False
-        for index, theirs in other.sets.items():
-            mine = self.sets.get(index)
-            if mine is MAY_TOP:
-                continue
-            if theirs is MAY_TOP:
-                self.sets[index] = MAY_TOP
-                changed = True
-            elif mine is None:
-                self.sets[index] = set(theirs)
-                changed = True
-            elif not theirs <= mine:
-                mine |= theirs
-                changed = True
-        return changed
 
 
 # --------------------------------------------------------------------------
@@ -287,7 +92,7 @@ class MayCache:
 # a per-set mask ``smask`` (the universe bits mapping to the accessed
 # set), so one access costs O(assoc) whole-word operations however many
 # blocks the set holds.  The functions below are the single executable
-# definition shared by the analysis's compiled step programs and the
+# definition shared by the analysis's compiled programs and the
 # test-facing :class:`PackedCacheDomain` wrapper.
 
 def _must_access(w, assoc, bit, smask):
@@ -357,9 +162,10 @@ def _must_age(w, assoc, mask, evict):
 class PackedCacheDomain:
     """Bit-packed MUST/MAY domain over a fixed universe of cache blocks.
 
-    The universe is every block an analysis can ever *insert* (fetch
-    targets and resolved read/write targets); blocks outside it can only
-    matter through the MAY domain's per-set TOP sentinel.  MUST states
+    The universe is every block an analysis can ever *insert* or probe
+    (fetch targets, resolved read/write targets, the blocks an AH read
+    needs); blocks outside it can only matter through the MAY domain's
+    per-set TOP sentinel.  MUST states
     are ``assoc``-tuples of cumulative age masks, MAY states are
     ``(blocks, top)`` pairs (possibly-resident mask, per-set-index TOP
     mask).  All operations are pure (states are immutable values),
@@ -371,8 +177,6 @@ class PackedCacheDomain:
         self.assoc = config.assoc
         self.blocks = tuple(dict.fromkeys(blocks))
         self.bit = {block: 1 << i for i, block in enumerate(self.blocks)}
-        self.block_of_bit = {1 << i: block
-                             for i, block in enumerate(self.blocks)}
         num_sets = config.num_sets
         self.set_mask = [0] * num_sets
         for block, bit in self.bit.items():
@@ -423,22 +227,6 @@ class PackedCacheDomain:
     def must_contains(self, state, block):
         return bool(state[self.assoc - 1] & self.bit[block])
 
-    def must_decode(self, state) -> MustCache:
-        """Expand a packed MUST state to the reference dict form."""
-        sets = {}
-        num_sets = self.config.num_sets
-        block_of_bit = self.block_of_bit
-        resident = state[self.assoc - 1]
-        while resident:
-            low = resident & -resident
-            resident ^= low
-            age = 0
-            while not state[age] & low:
-                age += 1
-            block = block_of_bit[low]
-            sets.setdefault(block % num_sets, {})[block] = age
-        return MustCache(self.config, sets)
-
     # -- MAY -----------------------------------------------------------------
 
     @staticmethod
@@ -466,28 +254,6 @@ class PackedCacheDomain:
         if state[1] >> (block % self.config.num_sets) & 1:
             return True
         return bool(state[0] & self.bit[block])
-
-    def may_decode(self, state) -> MayCache:
-        """Expand a packed MAY state to the reference dict form."""
-        blocks, top = state
-        sets = {}
-        num_sets = self.config.num_sets
-        index = 0
-        while top:
-            if top & 1:
-                sets[index] = MAY_TOP
-            top >>= 1
-            index += 1
-        block_of_bit = self.block_of_bit
-        while blocks:
-            low = blocks & -blocks
-            blocks ^= low
-            block = block_of_bit[low]
-            index = block % num_sets
-            if sets.get(index) is MAY_TOP:
-                continue
-            sets.setdefault(index, set()).add(block)
-        return MayCache(self.config, sets)
 
 
 # --------------------------------------------------------------------------
@@ -662,7 +428,7 @@ class CacheAnalysisResult:
 # --------------------------------------------------------------------------
 
 class CacheAnalysis:
-    """MUST (+ optional persistence) analysis of one cache level.
+    """MUST + MAY (+ optional persistence) analysis of one cache level.
 
     The default arguments analyse the paper's single cache: every access
     definitely happens (CAC ``A``) and the cache's ``unified`` flag
@@ -677,8 +443,7 @@ class CacheAnalysis:
                  stack_range, entry_name: str, persistence=False, *,
                  serves_fetch=True, serves_data=None, spm_size=0,
                  fetch_cac=None, data_cac=None, always_miss=False,
-                 resolved_accesses=None, domain="packed",
-                 intern_tables=None):
+                 resolved_accesses=None, intern_tables=None):
         self.image = image
         self.cfgs = cfgs
         self.config = config
@@ -692,9 +457,6 @@ class CacheAnalysis:
         self.spm_size = spm_size
         self.fetch_cac = fetch_cac
         self.data_cac = data_cac
-        if domain not in ("packed", "dict"):
-            raise ValueError(f"unknown abstract domain {domain!r}")
-        self.domain = domain
         # Hash-consing tables, shareable across the levels of one
         # hierarchy so identical out-states are one object everywhere.
         self._intern_must, self._intern_may = (intern_tables
@@ -705,7 +467,7 @@ class CacheAnalysis:
         self._succs = None
         self._rpo_index = None
         # Pre-resolve every instruction's data access and compile it to a
-        # cheap "plan" so the fixpoint loop never re-derives address sets.
+        # cheap "plan" so no transfer ever re-derives address sets.
         # *resolved_accesses* (addr -> DataAccess) lets a multi-level
         # analysis resolve each instruction once and share the result
         # across every level's CacheAnalysis.
@@ -723,19 +485,6 @@ class CacheAnalysis:
                     self._data[addr] = access
                     self._plan[addr] = self._compile_plan(access)
                     self._read_blocks[addr] = self._compile_read(access)
-        # Per-basic-block transfer programs: the CAC decisions, block
-        # numbers and plan lookups above are all static per analysis, so
-        # the fixpoint replays a flat step list instead of re-deriving
-        # them on every iteration.
-        self._must_progs = {}
-        self._may_progs = {}
-        for name, cfg in cfgs.items():
-            for baddr, block in cfg.blocks.items():
-                must, may = self._compile_block(block)
-                self._must_progs[(name, baddr)] = must
-                self._may_progs[(name, baddr)] = may
-        if domain == "packed":
-            self._compile_packed()
 
     def _cached_ranges(self, ranges):
         """Clip *ranges* to the part behind the cache (above the SPM)."""
@@ -806,316 +555,147 @@ class CacheAnalysis:
             return "A"
         return self.data_cac.get(addr, "U")
 
-    def _apply_plan(self, state: MustCache, plan, addr):
-        if plan is None:
-            return
-        kind = plan[0]
-        if kind == "rblock":
-            # Reads respect the CAC: an access settled by the level in
-            # front never reaches these tags, an uncertain one joins.
-            cac = self._data_cac_for(addr)
-            if cac == "N":
-                return
-            _kind, block, count = plan
-            if cac == "A":
-                for _ in range(count):
-                    state.access_block(block)
-            else:
-                for _ in range(count):
-                    state.access_block_uncertain(block)
-        elif kind == "wblock":
-            # Writes are write-through: they touch every level's tags.
-            state.access_block(plan[1], allocate=state.contains(plan[1]))
-        elif kind == "sets":
-            _kind, sets, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            for _ in range(count):
-                for index in sets:
-                    state.age_set(index, evict=evict)
-        else:  # allsets
-            _kind, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            for _ in range(count):
-                for index in list(state.sets):
-                    state.age_set(index, evict=evict)
+    def _fetch_blocks(self, addr, instr):
+        """(fetch CAC, the blocks whose tags the fetch at *addr* reaches).
 
-    def _transfer_block(self, state: MustCache, block, classify=None):
-        """Apply one basic block's accesses to *state* (in place)."""
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    definite = cac == "A"
-                    fetch_block = block_of(addr)
-                    if classify is not None:
-                        classify(addr, "fetch", state.contains(fetch_block))
-                    if definite:
-                        state.access_block(fetch_block)
-                    else:
-                        state.access_block_uncertain(fetch_block)
-                    if instr.size == 4:
-                        second = block_of(addr + 2)
-                        if second != fetch_block:
-                            if classify is not None and \
-                                    not state.contains(second):
-                                # Both halves must hit for an AH fetch.
-                                classify(addr, "fetch_second", False)
-                            if definite:
-                                state.access_block(second)
-                            else:
-                                state.access_block_uncertain(second)
-            if self.serves_data:
-                if classify is not None:
-                    needed = self._read_blocks[addr]
-                    if needed is not None:
-                        hit = all(state.contains(b) for b in needed)
-                        classify(addr, "data", hit)
-                self._apply_plan(state, self._plan[addr], addr)
-
-    # -- the MAY side (always-miss facts for the next level's CAC) -----------
-
-    def _transfer_block_may(self, state: MayCache, block, classify=None):
-        """Apply one basic block's accesses to a may-state (in place).
-
-        With *classify*, records whether each CAC-``A`` access targets a
-        block provably absent — an **always-miss**, i.e. an access that
-        is Always performed at the next level down.
+        No blocks when this level serves no fetches, a scratchpad in
+        front settles the fetch, or the level above always hits it
+        (CAC ``N``); two when a 4-byte instruction straddles a line.
         """
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    fetch_block = block_of(addr)
-                    second = (block_of(addr + 2) if instr.size == 4
-                              else fetch_block)
-                    if classify is not None and cac == "A":
-                        # Both halves must miss for the next level to be
-                        # definitely accessed on every execution.
-                        miss = not (state.may_contain(fetch_block)
-                                    or state.may_contain(second))
-                        classify(addr, "fetch", miss)
-                    state.add_block(fetch_block)
-                    if second != fetch_block:
-                        state.add_block(second)
-            if self.serves_data:
-                plan = self._plan[addr]
-                if plan is None:
-                    continue
-                kind = plan[0]
-                if kind == "rblock":
-                    cac = self._data_cac_for(addr)
-                    if cac == "N":
-                        continue
-                    _kind, block_num, count = plan
-                    if classify is not None and cac == "A" and count == 1:
-                        classify(addr, "data",
-                                 not state.may_contain(block_num))
-                    state.add_block(block_num)
-                elif kind == "wblock":
-                    pass  # write-through, no allocate: never inserts
-                elif kind == "sets":
-                    _kind, sets, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        for index in sets:
-                            state.mark_top(index)
-                else:  # allsets
-                    _kind, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        state.mark_all_top()
+        if not self.serves_fetch or addr < self.spm_size:
+            return "N", ()
+        cac = "A" if self.fetch_cac is None else self.fetch_cac.get(addr, "U")
+        if cac == "N":
+            return cac, ()
+        first = self.config.block_of(addr)
+        second = self.config.block_of(addr + 2) if instr.size == 4 else first
+        return cac, ((first,) if second == first else (first, second))
 
-    # -- compiled transfer programs ---------------------------------------------
+    # -- compiled transfer programs ------------------------------------------
 
-    def _compile_block(self, block):
-        """Compile one basic block into flat MUST and MAY step lists.
+    def _compile_programs(self):
+        """Compile every basic block into packed MUST and MAY programs.
 
-        Everything the per-instruction transfers re-derive on every
-        fixpoint iteration — spm clipping, CAC decisions, block numbers,
-        plan lookups — is static for one analysis, so it is folded here
-        once.  The classification passes keep using the original
-        ``_transfer_block``/``_transfer_block_may`` (whose state updates
-        these programs mirror exactly).
+        The block universe is every block an access can insert or a read
+        probe can ask about.  Each block's cache effect is derived once,
+        with the classification probes interleaved where the access
+        happens; the fixpoints run the same programs with the probes
+        stripped, and the classification pass runs them once per
+        reachable block.  Aging counts are clamped to ``assoc`` (further
+        repetitions are no-ops on a finite-age domain).
         """
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        must = []
-        may = []
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    opcode = 0 if cac == "A" else 1
-                    fetch_block = block_of(addr)
-                    must.append((opcode, fetch_block))
-                    may.append((0, fetch_block))
-                    if instr.size == 4:
-                        second = block_of(addr + 2)
-                        if second != fetch_block:
-                            must.append((opcode, second))
-                            may.append((0, second))
-            if self.serves_data:
-                plan = self._plan[addr]
-                if plan is None:
+        fetches = {}
+        universe = []
+        for cfg in self.cfgs.values():
+            for block in cfg.blocks.values():
+                for addr, instr in block.instrs:
+                    fetches[addr] = self._fetch_blocks(addr, instr)
+                    universe.extend(fetches[addr][1])
+                    plan = self._plan[addr]
+                    if plan is not None and plan[0] in ("rblock", "wblock"):
+                        universe.append(plan[1])
+                    universe.extend(self._read_blocks[addr] or ())
+        self._packed = PackedCacheDomain(self.config, universe)
+        dm = self.config.assoc == 1
+        self._probed = {}
+        self._must_progs = {}
+        self._may_progs = {}
+        for name, cfg in self.cfgs.items():
+            for baddr, block in cfg.blocks.items():
+                node = (name, baddr)
+                must, may = self._probed[node] = self._block_programs(
+                    block, fetches)
+                must = tuple(step for step in must if step[0] != 4)
+                self._must_progs[node] = self._fuse_dm(must) if dm else must
+                self._may_progs[node] = self._fuse_may(may)
+
+    def _block_programs(self, block, fetches):
+        """One basic block's packed programs, probes included.
+
+        MUST steps: ``(0, bit, smask)`` definite access (idempotent, so
+        a repeat count collapses), ``(1, bit, smask, count)`` CAC-``U``
+        read, ``(2, bit, smask)`` write-through store, ``(3, mask,
+        evict, count)`` aging of the sets in *mask*, ``(4, addr, mask,
+        kind)`` probe: the access is AH iff every block in *mask* is
+        resident (a ``"second"`` fetch half can only demote to NC).
+        MAY steps: ``(0, bits)`` insert, ``(1, top, blocks)`` sets gone
+        TOP (their universe blocks included), ``(2, addr, bits, kind)``
+        probe: always-miss iff no block in *bits* may be resident.  A
+        TOP set holds every universe block of the set, and every probed
+        block is in the universe, so the probe needs no TOP test.
+        """
+        domain = self._packed
+        bits, set_mask = domain.bit, domain.set_mask
+        assoc = self.config.assoc
+        num_sets = self.config.num_sets
+        must, may = [], []
+        for addr, _instr in block.instrs:
+            cac, fetched = fetches[addr]
+            fetch_bits = 0
+            for half, target in enumerate(fetched):
+                bit = bits[target]
+                smask = set_mask[target % num_sets]
+                must.append((4, addr, bit, "second" if half else "fetch"))
+                must.append((0, bit, smask) if cac == "A"
+                            else (1, bit, smask, 1))
+                fetch_bits |= bit
+            if fetch_bits:
+                if cac == "A":
+                    # Every fetched half must miss for the next level to
+                    # be definitely accessed on every execution.
+                    may.append((2, addr, fetch_bits, "fetch"))
+                may.append((0, fetch_bits))
+            if not self.serves_data:
+                continue
+            needed = self._read_blocks[addr]
+            if needed is not None:
+                mask = 0
+                for target in needed:
+                    mask |= bits[target]
+                must.append((4, addr, mask, "data"))
+            plan = self._plan[addr]
+            if plan is None:
+                continue
+            kind = plan[0]
+            if kind == "rblock":
+                cac = self._data_cac_for(addr)
+                if cac == "N":
                     continue
-                kind = plan[0]
-                if kind == "rblock":
-                    cac = self._data_cac_for(addr)
-                    if cac == "N":
-                        continue
-                    _kind, target, count = plan
-                    must.append((2 if cac == "A" else 3, target, count))
-                    may.append((0, target))
-                elif kind == "wblock":
-                    must.append((4, plan[1]))
-                elif kind == "sets":
-                    _kind, sets, evict, count = plan
-                    if evict and self._data_cac_for(addr) == "N":
-                        continue
-                    must.append((5, sets, evict, count))
-                    if evict:
-                        may.append((1, sets))
-                else:  # allsets
-                    _kind, evict, count = plan
-                    if evict and self._data_cac_for(addr) == "N":
-                        continue
-                    must.append((6, evict, count))
-                    if evict:
-                        may.append((2,))
+                _kind, target, count = plan
+                bit = bits[target]
+                smask = set_mask[target % num_sets]
+                if cac == "A":
+                    must.append((0, bit, smask))
+                    if count == 1:
+                        may.append((2, addr, bit, "data"))
+                else:
+                    must.append((1, bit, smask, min(count, assoc)))
+                may.append((0, bit))
+            elif kind == "wblock":
+                # Write-through, no allocate: touches every level's tags
+                # but never inserts a possibly-resident block.
+                target = plan[1]
+                must.append((2, bits[target], set_mask[target % num_sets]))
+            else:  # sets / allsets: (kind, [sets,] evict, count)
+                evict, count = plan[-2:]
+                if evict and self._data_cac_for(addr) == "N":
+                    continue
+                if kind == "sets":
+                    mask = top = 0
+                    for index in plan[1]:
+                        mask |= set_mask[index]
+                        top |= 1 << index
+                else:
+                    mask, top = domain.universe_mask, domain.all_top_mask
+                if mask:
+                    must.append((3, mask, evict, min(count, assoc)))
+                if evict:
+                    may.append((1, top, mask))
         return tuple(must), tuple(may)
 
     @staticmethod
-    def _run_must_prog(state: MustCache, prog):
-        for step in prog:
-            opcode = step[0]
-            if opcode == 0:
-                state.access_block(step[1])
-            elif opcode == 1:
-                state.access_block_uncertain(step[1])
-            elif opcode == 2:
-                for _ in range(step[2]):
-                    state.access_block(step[1])
-            elif opcode == 3:
-                for _ in range(step[2]):
-                    state.access_block_uncertain(step[1])
-            elif opcode == 4:
-                target = step[1]
-                state.access_block(target, allocate=state.contains(target))
-            elif opcode == 5:
-                _opcode, sets, evict, count = step
-                for _ in range(count):
-                    for index in sets:
-                        state.age_set(index, evict=evict)
-            else:
-                _opcode, evict, count = step
-                for _ in range(count):
-                    for index in list(state.sets):
-                        state.age_set(index, evict=evict)
-
-    @staticmethod
-    def _run_may_prog(state: MayCache, prog):
-        for step in prog:
-            opcode = step[0]
-            if opcode == 0:
-                state.add_block(step[1])
-            elif opcode == 1:
-                for index in step[1]:
-                    state.mark_top(index)
-            else:
-                state.mark_all_top()
-
-    # -- packed (bitset) transfer programs -----------------------------------
-
-    def _compile_packed(self):
-        """Translate the logical step lists into packed-bitset programs.
-
-        The block universe is every block the logical programs can
-        insert or probe; aging counts are clamped to ``assoc`` (further
-        repetitions are no-ops on a finite-age domain).  Direct-mapped
-        caches get a dedicated encoding over a *single* integer state:
-        runs of consecutive definite accesses fuse into one
-        clear-mask/set-bits pair, writes vanish (refresh and
-        no-allocate aging are both identities at assoc 1), and
-        no-evict aging saturates to the identity.
-        """
-        universe = []
-        for prog in self._must_progs.values():
-            for step in prog:
-                if step[0] <= 4:
-                    universe.append(step[1])
-        for prog in self._may_progs.values():
-            for step in prog:
-                if step[0] == 0:
-                    universe.append(step[1])
-        domain = self._packed = PackedCacheDomain(self.config, universe)
-        assoc = self.config.assoc
-        num_sets = self.config.num_sets
-        bits = domain.bit
-        set_mask = domain.set_mask
-        full = domain.universe_mask
-        dm = assoc == 1
-        self._packed_must = {}
-        self._packed_may = {}
-        for node, prog in self._must_progs.items():
-            steps = []
-            for step in prog:
-                opcode = step[0]
-                if opcode in (0, 2):   # definite access (idempotent, so
-                    block = step[1]    # the repeat count collapses)
-                    steps.append((0, bits[block],
-                                  set_mask[block % num_sets]))
-                elif opcode in (1, 3):  # uncertain access
-                    block = step[1]
-                    count = min(step[2] if opcode == 3 else 1, assoc)
-                    steps.append((1, bits[block],
-                                  set_mask[block % num_sets], count))
-                elif opcode == 4:       # write-through store
-                    block = step[1]
-                    steps.append((2, bits[block],
-                                  set_mask[block % num_sets]))
-                elif opcode == 5:
-                    _opcode, sets, evict, count = step
-                    mask = 0
-                    for index in sets:
-                        mask |= set_mask[index]
-                    if mask:
-                        steps.append((3, mask, evict, min(count, assoc)))
-                else:
-                    _opcode, evict, count = step
-                    if full:
-                        steps.append((3, full, evict, min(count, assoc)))
-            self._packed_must[node] = (self._fuse_dm(steps) if dm
-                                       else tuple(steps))
-        for node, prog in self._may_progs.items():
-            steps = []
-            pending = 0  # consecutive inserts fuse into one OR mask
-            for step in prog:
-                opcode = step[0]
-                if opcode == 0:
-                    pending |= bits[step[1]]
-                    continue
-                if pending:
-                    steps.append((0, pending))
-                    pending = 0
-                if opcode == 1:
-                    top = blocks = 0
-                    for index in step[1]:
-                        top |= 1 << index
-                        blocks |= set_mask[index]
-                    steps.append((1, top, blocks))
-                else:
-                    steps.append((1, domain.all_top_mask, full))
-            if pending:
-                steps.append((0, pending))
-            self._packed_may[node] = tuple(steps)
-
-    @staticmethod
     def _fuse_dm(steps):
-        """Re-encode packed MUST steps for a direct-mapped cache.
+        """Re-encode probe-free MUST steps for a direct-mapped cache.
 
         State is one integer (the single age-0 word).  Step forms:
         ``(0, set_bits, keep_mask)`` fused definite-access runs
@@ -1148,6 +728,19 @@ class CacheAnalysis:
         return tuple(fused)
 
     @staticmethod
+    def _fuse_may(steps):
+        """Strip the probes; consecutive inserts fuse into one OR mask."""
+        fused = []
+        for step in steps:
+            if step[0] == 2:
+                continue
+            if step[0] == 0 and fused and fused[-1][0] == 0:
+                fused[-1] = (0, fused[-1][1] | step[1])
+            else:
+                fused.append(step)
+        return tuple(fused)
+
+    @staticmethod
     def _run_must_dm(word, prog):
         for step in prog:
             opcode = step[0]
@@ -1161,7 +754,8 @@ class CacheAnalysis:
         return word
 
     @staticmethod
-    def _run_must_packed(state, prog, assoc):
+    def _run_must(state, prog, assoc, classes=None):
+        """Run a MUST program; probes record into *classes*."""
         words = list(state)
         for step in prog:
             opcode = step[0]
@@ -1172,177 +766,41 @@ class CacheAnalysis:
                     _must_uncertain(words, assoc, step[1], step[2])
             elif opcode == 2:
                 _must_write(words, assoc, step[1], step[2])
-            else:
+            elif opcode == 3:
                 for _ in range(step[3]):
                     _must_age(words, assoc, step[1], step[2])
+            else:
+                _opcode, addr, mask, kind = step
+                hit = (words[-1] & mask) == mask
+                entry = classes.setdefault(addr, AccessClass())
+                if kind == "fetch":
+                    entry.fetch = AH if hit else NC
+                elif kind == "data":
+                    entry.data = AH if hit else NC
+                elif not hit:  # both halves must hit for an AH fetch
+                    entry.fetch = NC
         return tuple(words)
 
     @staticmethod
-    def _run_may_packed(state, prog):
+    def _run_may(state, prog, classes=None):
+        """Run a MAY program; probes record into *classes*."""
         blocks, top = state
         for step in prog:
-            if step[0] == 0:
+            opcode = step[0]
+            if opcode == 0:
                 blocks |= step[1]
-            else:
+            elif opcode == 1:
                 top |= step[1]
                 blocks |= step[2]
-        return (blocks, top)
-
-    # -- packed classification walks -----------------------------------------
-    #
-    # Mirrors of ``_transfer_block``/``_transfer_block_may`` operating
-    # directly on packed states, so the classification passes need no
-    # decode back to the dict domain.  The differential tests assert
-    # instruction-level equality of the two classification paths.
-
-    def _apply_plan_packed(self, words, plan, addr):
-        if plan is None:
-            return
-        assoc = self.config.assoc
-        domain = self._packed
-        kind = plan[0]
-        if kind == "rblock":
-            cac = self._data_cac_for(addr)
-            if cac == "N":
-                return
-            _kind, block, count = plan
-            bit = domain.bit[block]
-            smask = domain.set_mask[block % self.config.num_sets]
-            if cac == "A":  # idempotent: the repeat count collapses
-                _must_access(words, assoc, bit, smask)
             else:
-                for _ in range(min(count, assoc)):
-                    _must_uncertain(words, assoc, bit, smask)
-        elif kind == "wblock":
-            block = plan[1]
-            _must_write(words, assoc, domain.bit[block],
-                        domain.set_mask[block % self.config.num_sets])
-        elif kind == "sets":
-            _kind, sets, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            mask = 0
-            for index in sets:
-                mask |= domain.set_mask[index]
-            for _ in range(min(count, assoc)):
-                _must_age(words, assoc, mask, evict)
-        else:  # allsets
-            _kind, evict, count = plan
-            if evict and self._data_cac_for(addr) == "N":
-                return
-            for _ in range(min(count, assoc)):
-                _must_age(words, assoc, domain.universe_mask, evict)
-
-    def _transfer_block_packed(self, words, block, classify=None):
-        """Packed mirror of :meth:`_transfer_block` (*words* mutable)."""
-        assoc = self.config.assoc
-        domain = self._packed
-        bits = domain.bit
-        set_mask = domain.set_mask
-        num_sets = self.config.num_sets
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        top = assoc - 1
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    definite = cac == "A"
-                    fetch_block = block_of(addr)
-                    bit = bits[fetch_block]
-                    smask = set_mask[fetch_block % num_sets]
-                    if classify is not None:
-                        classify(addr, "fetch", bool(words[top] & bit))
-                    if definite:
-                        _must_access(words, assoc, bit, smask)
-                    else:
-                        _must_uncertain(words, assoc, bit, smask)
-                    if instr.size == 4:
-                        second = block_of(addr + 2)
-                        if second != fetch_block:
-                            bit = bits[second]
-                            smask = set_mask[second % num_sets]
-                            if classify is not None and \
-                                    not words[top] & bit:
-                                # Both halves must hit for an AH fetch.
-                                classify(addr, "fetch_second", False)
-                            if definite:
-                                _must_access(words, assoc, bit, smask)
-                            else:
-                                _must_uncertain(words, assoc, bit, smask)
-            if self.serves_data:
-                if classify is not None:
-                    needed = self._read_blocks[addr]
-                    if needed is not None:
-                        resident = words[top]
-                        hit = True
-                        for need in needed:
-                            need_bit = bits.get(need)
-                            if need_bit is None or not resident & need_bit:
-                                hit = False
-                                break
-                        classify(addr, "data", hit)
-                self._apply_plan_packed(words, self._plan[addr], addr)
-
-    def _transfer_block_may_packed(self, state, block, classify=None):
-        """Packed mirror of :meth:`_transfer_block_may` (*state* is a
-        mutable ``[blocks, top]`` pair of mask words)."""
-        domain = self._packed
-        bits = domain.bit
-        set_mask = domain.set_mask
-        num_sets = self.config.num_sets
-        block_of = self.config.block_of
-        fetch_cac = self.fetch_cac
-        blocks, top = state
-        for addr, instr in block.instrs:
-            if self.serves_fetch and addr >= self.spm_size:
-                cac = "A" if fetch_cac is None else fetch_cac.get(addr, "U")
-                if cac != "N":
-                    fetch_block = block_of(addr)
-                    second = (block_of(addr + 2) if instr.size == 4
-                              else fetch_block)
-                    if classify is not None and cac == "A":
-                        # Both halves must miss for the next level to be
-                        # definitely accessed on every execution.
-                        miss = not (
-                            top >> (fetch_block % num_sets) & 1
-                            or blocks & bits[fetch_block]
-                            or top >> (second % num_sets) & 1
-                            or blocks & bits[second])
-                        classify(addr, "fetch", miss)
-                    blocks |= bits[fetch_block]
-                    if second != fetch_block:
-                        blocks |= bits[second]
-            if self.serves_data:
-                plan = self._plan[addr]
-                if plan is None:
-                    continue
-                kind = plan[0]
-                if kind == "rblock":
-                    cac = self._data_cac_for(addr)
-                    if cac == "N":
-                        continue
-                    _kind, block_num, count = plan
-                    if classify is not None and cac == "A" and count == 1:
-                        miss = not (top >> (block_num % num_sets) & 1
-                                    or blocks & bits[block_num])
-                        classify(addr, "data", miss)
-                    blocks |= bits[block_num]
-                elif kind == "wblock":
-                    pass  # write-through, no allocate: never inserts
-                elif kind == "sets":
-                    _kind, sets, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        for index in sets:
-                            top |= 1 << index
-                            blocks |= set_mask[index]
-                else:  # allsets
-                    _kind, evict, _count = plan
-                    if evict and self._data_cac_for(addr) != "N":
-                        top |= domain.all_top_mask
-                        blocks |= domain.universe_mask
-        state[0] = blocks
-        state[1] = top
+                _opcode, addr, bits, kind = step
+                miss = not blocks & bits
+                entry = classes.setdefault(addr, AccessClass())
+                if kind == "fetch":
+                    entry.fetch_always_miss = miss
+                else:
+                    entry.data_always_miss = miss
+        return (blocks, top)
 
     # -- fixpoint ---------------------------------------------------------------
 
@@ -1399,63 +857,17 @@ class CacheAnalysis:
         self._rpo_index = {node: i for i, node in enumerate(order)}
         return self._rpo_index
 
-    def _fixpoint(self, entry_state, run_prog, progs):
+    def _worklist(self, entry_state, run_prog, progs, join):
         """Reverse-post-order worklist fixpoint; returns in-states.
 
         Nodes are processed in RPO (a priority queue over the RPO
         index), so a change flows through a whole procedure before its
-        loop headers are revisited — far fewer re-transfers than the
-        LIFO stack this replaces.  Each node's out-state fingerprint is
-        memoized: when a re-transfer reproduces the previous out-state,
-        the successor joins (deep dict walks) are skipped entirely.
-        """
-        import heapq
-
-        cfgs = self.cfgs
-        # Node = (func_name, block_addr). in-states start unknown (None);
-        # the program entry starts cold (empty state), which is sound for
-        # both directions: nothing guaranteed, nothing possibly resident.
-        entry = (self.entry_name, cfgs[self.entry_name].entry)
-        in_states = {entry: entry_state}
-        succs = self._succs_cached()
-        rpo = self._rpo()
-        fallback = len(rpo)
-
-        heap = [(rpo.get(entry, fallback), entry)]
-        pending = {entry}
-        out_fingerprints = {}
-        iterations = 0
-        limit = 400 * sum(len(c.blocks) for c in cfgs.values()) + 10_000
-        while heap:
-            iterations += 1
-            if iterations > limit:
-                raise RuntimeError("cache fixpoint failed to converge")
-            _, node = heapq.heappop(heap)
-            pending.discard(node)
-            state = in_states[node].copy()
-            run_prog(state, progs[node])
-            fingerprint = state.fingerprint()
-            if out_fingerprints.get(node) == fingerprint:
-                continue  # same out-state as last time: nothing to push
-            out_fingerprints[node] = fingerprint
-            for succ in succs.get(node, ()):
-                current = in_states.get(succ)
-                if current is None:
-                    in_states[succ] = state.copy()
-                elif not current.join_with(state):
-                    continue
-                if succ not in pending:
-                    pending.add(succ)
-                    heapq.heappush(heap, (rpo.get(succ, fallback), succ))
-        return in_states
-
-    def _fixpoint_packed(self, entry_state, run_prog, progs, join):
-        """RPO worklist fixpoint over interned immutable states.
-
-        Same shape as :meth:`_fixpoint`, but states are hash-consed
-        integer words: the out-state memo and the join change test are
-        both pointer (``is``) comparisons, and an unchanged join costs
-        one AND/OR pass plus a dict probe instead of a deep dict walk.
+        loop headers are revisited.  States are hash-consed integer
+        words: each node's out-state memo and the join change test are
+        both pointer (``is``) comparisons, so a re-transfer that
+        reproduces the previous out-state skips every successor join.
+        The program entry starts cold (empty state), which is sound for
+        both directions: nothing guaranteed, nothing possibly resident.
         """
         import heapq
 
@@ -1495,7 +907,7 @@ class CacheAnalysis:
                     heapq.heappush(heap, (rpo.get(succ, fallback), succ))
         return in_states
 
-    def _must_fixpoint_packed(self):
+    def _must_states(self):
         table = self._intern_must
         if self.config.assoc == 1:
             run_dm = self._run_must_dm
@@ -1510,11 +922,11 @@ class CacheAnalysis:
 
             entry_state = _intern(table, 0)
         else:
-            run_packed = self._run_must_packed
+            run_must = self._run_must
             assoc = self.config.assoc
 
             def run_prog(state, prog):
-                return _intern(table, run_packed(state, prog, assoc))
+                return _intern(table, run_must(state, prog, assoc))
 
             def join(a, b):
                 if a is b:
@@ -1522,12 +934,11 @@ class CacheAnalysis:
                 return _intern(table, tuple(x & y for x, y in zip(a, b)))
 
             entry_state = _intern(table, (0,) * assoc)
-        return self._fixpoint_packed(entry_state, run_prog,
-                                     self._packed_must, join)
+        return self._worklist(entry_state, run_prog, self._must_progs, join)
 
-    def _may_fixpoint_packed(self):
+    def _may_states(self):
         table = self._intern_may
-        run_may = self._run_may_packed
+        run_may = self._run_may
 
         def run_prog(state, prog):
             return _intern(table, run_may(state, prog))
@@ -1538,74 +949,28 @@ class CacheAnalysis:
             return _intern(table, (a[0] | b[0], a[1] | b[1]))
 
         entry_state = _intern(table, (0, 0))
-        return self._fixpoint_packed(entry_state, run_prog,
-                                     self._packed_may, join)
-
-    def _classify_pass(self, in_states, transfer, classify, prepare=None):
-        for name, cfg in self.cfgs.items():
-            for baddr, block in cfg.blocks.items():
-                node = (name, baddr)
-                if node not in in_states:
-                    continue  # unreachable
-                state = in_states[node]
-                state = state.copy() if prepare is None else prepare(state)
-                transfer(state, block, classify=classify)
+        return self._worklist(entry_state, run_prog, self._may_progs, join)
 
     def run(self) -> CacheAnalysisResult:
-        packed = self.domain == "packed"
-        if packed:
-            in_states = self._must_fixpoint_packed()
-            must_transfer = self._transfer_block_packed
-            if self.config.assoc == 1:
-                def must_prepare(word):
-                    return [word]
-            else:
-                must_prepare = list
-        else:
-            in_states = self._fixpoint(MustCache(self.config),
-                                       self._run_must_prog,
-                                       self._must_progs)
-            must_transfer = self._transfer_block
-            must_prepare = None
-
-        # Classification pass.
+        self._compile_programs()
         result = CacheAnalysisResult(config=self.config)
         classes = result.classes
-
-        def classify(addr, what, hit):
-            entry = classes.setdefault(addr, AccessClass())
-            if what == "fetch":
-                entry.fetch = AH if hit else NC
-            elif what == "fetch_second":
-                entry.fetch = NC
-            else:
-                entry.data = AH if hit else NC
-
-        self._classify_pass(in_states, must_transfer, classify,
-                            prepare=must_prepare)
-
+        assoc = self.config.assoc
+        # Classification: each reachable block's probed program, run once
+        # from its fixpoint in-state (MAY probes only when the next level
+        # down needs always-miss facts).
+        must_states = self._must_states()
+        for node, (must, _may) in self._probed.items():
+            state = must_states.get(node)
+            if state is not None:
+                self._run_must((state,) if assoc == 1 else state, must,
+                               assoc, classes)
         if self.always_miss:
-            if packed:
-                may_states = self._may_fixpoint_packed()
-                may_transfer = self._transfer_block_may_packed
-                may_prepare = list
-            else:
-                may_states = self._fixpoint(MayCache(self.config),
-                                            self._run_may_prog,
-                                            self._may_progs)
-                may_transfer = self._transfer_block_may
-                may_prepare = None
-
-            def classify_am(addr, what, miss):
-                entry = classes.setdefault(addr, AccessClass())
-                if what == "fetch":
-                    entry.fetch_always_miss = miss
-                else:
-                    entry.data_always_miss = miss
-
-            self._classify_pass(may_states, may_transfer, classify_am,
-                                prepare=may_prepare)
-
+            may_states = self._may_states()
+            for node, (_must, may) in self._probed.items():
+                state = may_states.get(node)
+                if state is not None:
+                    self._run_may(state, may, classes)
         if self.persistence:
             self._apply_persistence(result)
         return result
@@ -1760,7 +1125,7 @@ def _cac_fingerprint(cac):
 
 def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
                       persistence=False, resolved_accesses=None,
-                      domain="packed", reuse=True) -> HierarchyCacheResult:
+                      reuse=True) -> HierarchyCacheResult:
     """Classify every cache level of *config*'s pipeline, outermost first.
 
     *config* is a :class:`~repro.memory.hierarchy.SystemConfig`.  Each
@@ -1775,10 +1140,9 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
     content-addressed reuse cache: the key is the image's content hash
     plus everything else a level's result depends on (its cache config,
     the CAC maps chained from the level above, the SPM clip, the served
-    sides, persistence/always-miss, the abstract *domain*), so a sweep
-    point that changes only an unrelated level — or a repeat of the
-    same point in another worker process, via the shared disk layer —
-    skips the fixpoints entirely.
+    sides, persistence/always-miss), so a sweep point that changes only
+    an unrelated level — or a repeat of the same point in another worker
+    process, via the shared disk layer — skips the fixpoints entirely.
     """
     spm_size = config.spm_size
     specs = config.cache_level_specs
@@ -1791,7 +1155,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
                   serves_data, fetch_cac=None, data_cac=None):
         use_persistence = persistence and outermost
         if image_key is not None:
-            key = (_CACHE_VERSION, domain, image_key, cache_config,
+            key = (_CACHE_VERSION, image_key, cache_config,
                    stack_range, entry_name, spm_size, use_persistence,
                    chained, serves_fetch, serves_data,
                    _cac_fingerprint(fetch_cac), _cac_fingerprint(data_cac))
@@ -1803,7 +1167,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
             persistence=use_persistence, serves_fetch=serves_fetch,
             serves_data=serves_data, spm_size=spm_size,
             fetch_cac=fetch_cac, data_cac=data_cac, always_miss=chained,
-            resolved_accesses=resolved_accesses, domain=domain,
+            resolved_accesses=resolved_accesses,
             intern_tables=intern_tables).run()
         if image_key is not None:
             _reuse_put(key, result)

@@ -1,17 +1,20 @@
-"""Packed bitset abstract-cache domain vs. the dict-based reference.
+"""Packed bitset cache analysis vs. the dict-based reference oracle.
 
-The packed domain (``repro.wcet.cacheanalysis.PackedCacheDomain`` and
-the ``CacheAnalysis(domain="packed")`` fixpoints built on it) must be
-observationally identical to the retained dict-based ``MustCache`` /
-``MayCache`` semantics.  Three layers of evidence:
+The packed domain (``repro.wcet.cacheanalysis.PackedCacheDomain``) and
+the compiled ``CacheAnalysis`` built on it must be observationally
+identical to the independent reference in
+``repro.testing.cache_oracle`` (dict ``MustCache`` / ``MayCache``
+states, interpretive transfers, naive fixpoint).  Three layers of
+evidence:
 
 * randomized-trace differential tests: the same operation stream
   (definite/uncertain accesses, no-allocate writes, set and whole-cache
   aging, joins, MAY_TOP) applied to both domains yields the same
   decoded state after *every* step;
-* whole-analysis differential tests: ``domain="packed"`` and
-  ``domain="dict"`` produce instruction-identical classifications on
-  real benchmarks, single-level and CAC-chained multi-level;
+* whole-analysis differential tests: ``CacheAnalysis`` and
+  ``ReferenceCacheAnalysis`` produce instruction-identical
+  classifications on real benchmarks (call-heavy ``adpcm`` with range
+  accesses included), single-level and CAC-chained multi-level;
 * interning and reuse-cache invariants: hash-consed states are shared
   objects, and the content-addressed reuse cache (memory and disk
   layers) returns results equal to a fresh analysis.
@@ -24,14 +27,17 @@ import pytest
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
-from repro.wcet import CacheAnalysis, PackedCacheDomain, build_all_cfgs
-from repro.wcet import cacheanalysis
-from repro.wcet.cacheanalysis import (
+from repro.testing.cache_oracle import (
     MayCache,
     MustCache,
-    _intern,
-    analyze_hierarchy,
+    ReferenceCacheAnalysis,
+    may_decode,
+    must_decode,
+    reference_hierarchy,
 )
+from repro.wcet import CacheAnalysis, PackedCacheDomain, build_all_cfgs
+from repro.wcet import cacheanalysis
+from repro.wcet.cacheanalysis import _intern, analyze_hierarchy
 from repro.wcet.stackdepth import stack_region
 
 CONFIGS = [
@@ -114,7 +120,7 @@ class TestMustDifferential:
             self._apply_dict(dict_state, dict_other, op)
             packed_state = self._apply_packed(domain, packed_state,
                                               packed_other, op)
-            decoded = domain.must_decode(packed_state)
+            decoded = must_decode(domain, packed_state)
             assert decoded.fingerprint() == dict_state.fingerprint(), \
                 f"seed {seed} {config} diverged at step {step}: {op}"
             for block in universe:
@@ -156,7 +162,7 @@ class TestMayDifferential:
             else:
                 dict_state.join_with(dict_other)
                 packed_state = domain.may_join(packed_state, packed_other)
-            decoded = domain.may_decode(packed_state)
+            decoded = may_decode(domain, packed_state)
             assert decoded.fingerprint() == dict_state.fingerprint(), \
                 f"seed {seed} {config} diverged at step {step}"
             for block in universe:
@@ -182,6 +188,17 @@ int main(void) {
 }
 """
 
+PARTIAL_SOURCE = """
+int data[8];
+int main(void) {
+    int i;
+    int total;
+    total = data[0];
+    for (i = 0; i < 8; i++) { total += data[i]; }
+    return total & 255;
+}
+"""
+
 
 def _frontend(source):
     image = link(compile_source(source).program)
@@ -202,22 +219,35 @@ def _bench_frontend(key):
     return _frontend(get(key).source())
 
 
+SINGLE_LEVEL_CACHES = [
+    CacheConfig(size=64),                  # direct mapped
+    CacheConfig(size=256, assoc=2),
+    CacheConfig(size=512, assoc=4),
+    CacheConfig(size=256, unified=False),  # instruction-only
+]
+
+#: (benchmark, cache index): every cache for the loop kernels, and the
+#: direct-mapped and 4-way caches for adpcm and multisort, whose calls
+#: and array range accesses exercise return edges, set aging and TOP
+#: marks.
+SINGLE_LEVEL_CASES = ([(key, index) for index in range(4)
+                       for key in ("crc", "fir")]
+                      + [(key, index) for key in ("adpcm", "multisort")
+                         for index in (0, 2)])
+
+
 class TestAnalysisDifferential:
-    @pytest.mark.parametrize("key", ["crc", "fir"])
-    @pytest.mark.parametrize("cache", [
-        CacheConfig(size=64),
-        CacheConfig(size=256, assoc=2),
-        CacheConfig(size=512, assoc=4),
-        CacheConfig(size=256, unified=False),
-    ])
+    @pytest.mark.parametrize("key, cache", [
+        pytest.param(key, SINGLE_LEVEL_CACHES[index],
+                     id=f"cache{index}-{key}")
+        for key, index in SINGLE_LEVEL_CASES])
     def test_single_level(self, key, cache):
         image, cfgs, rng = _bench_frontend(key)
         for persistence in (False, True):
             results = [
-                CacheAnalysis(image, cfgs, cache, rng, "_start",
-                              persistence=persistence, always_miss=True,
-                              domain=domain).run()
-                for domain in ("dict", "packed")
+                analysis(image, cfgs, cache, rng, "_start",
+                         persistence=persistence, always_miss=True).run()
+                for analysis in (ReferenceCacheAnalysis, CacheAnalysis)
             ]
             _classes_equal(*results)
 
@@ -233,9 +263,9 @@ class TestAnalysisDifferential:
     def test_hierarchy(self, config):
         image, cfgs, rng = _frontend(LOOPY_SOURCE)
         results = [
+            reference_hierarchy(image, cfgs, config, rng, "_start"),
             analyze_hierarchy(image, cfgs, config, rng, "_start",
-                              domain=domain, reuse=False)
-            for domain in ("dict", "packed")
+                              reuse=False),
         ]
         for level_dict, level_packed in zip(results[0].levels,
                                             results[1].levels):
@@ -244,6 +274,35 @@ class TestAnalysisDifferential:
                 assert (a is None) == (b is None)
                 if a is not None:
                     _classes_equal(a, b)
+
+    @pytest.mark.parametrize("cache", [CacheConfig(size=64),
+                                       CacheConfig(size=256, assoc=4)])
+    def test_partially_resident_range_read(self, cache):
+        # data[0] makes one of the array's two lines resident; the
+        # indexed read needs both, so it must stay NC (an all-of probe).
+        image, cfgs, rng = _frontend(PARTIAL_SOURCE)
+        _classes_equal(*(
+            analysis(image, cfgs, cache, rng, "_start").run()
+            for analysis in (ReferenceCacheAnalysis, CacheAnalysis)))
+
+    @pytest.mark.parametrize("key", ["adpcm", "multisort"])
+    @pytest.mark.parametrize("config", [
+        SystemConfig.two_level(CacheConfig(size=64),
+                               CacheConfig(size=256)),
+        SystemConfig.two_level(CacheConfig(size=64),
+                               CacheConfig(size=1024)),
+        SystemConfig.two_level(CacheConfig(size=128, assoc=2),
+                               CacheConfig(size=512, assoc=4)),
+    ])
+    def test_hierarchy_call_heavy(self, key, config):
+        # Conflicting direct-mapped L2s see CAC-U accesses the fused
+        # direct-mapped programs must age exactly like the oracle.
+        image, cfgs, rng = _bench_frontend(key)
+        reference = reference_hierarchy(image, cfgs, config, rng, "_start")
+        ours = analyze_hierarchy(image, cfgs, config, rng, "_start",
+                                 reuse=False)
+        for level_dict, level_packed in zip(reference.levels, ours.levels):
+            _classes_equal(level_dict.iresult, level_packed.iresult)
 
 
 # -- interning and the reuse cache ------------------------------------------
@@ -260,14 +319,14 @@ class TestInterning:
         image, cfgs, rng = _frontend(LOOPY_SOURCE)
         before = dict(cacheanalysis.COUNTERS)
         result = CacheAnalysis(image, cfgs, CacheConfig(size=128), rng,
-                               "_start", domain="packed").run()
+                               "_start").run()
         after = cacheanalysis.COUNTERS
         # A fixpoint revisits nodes whose out-state stabilised: most
         # transfers reproduce an already-interned state.
         assert after["intern_hits"] > before["intern_hits"]
         assert after["intern_misses"] > before["intern_misses"]
         again = CacheAnalysis(image, cfgs, CacheConfig(size=128), rng,
-                              "_start", domain="packed").run()
+                              "_start").run()
         _classes_equal(result, again)
 
     def test_shared_tables_share_states_across_analyses(self):
@@ -275,8 +334,7 @@ class TestInterning:
         tables = ({}, {})
         for _ in range(2):
             CacheAnalysis(image, cfgs, CacheConfig(size=128), rng,
-                          "_start", domain="packed",
-                          intern_tables=tables).run()
+                          "_start", intern_tables=tables).run()
         must_table = tables[0]
         assert must_table
         for state, canonical in must_table.items():

@@ -15,8 +15,9 @@ Budget knobs (environment):
 Every program runs compile → link → execute → self-check → replay
 differential → WCET-dominates-simulation across the >= 4 default
 hierarchy shapes; subsets additionally run the recording-engine /
-per-pc miss differential, the packed-vs-dict abstract-domain
-differential, and a greedy SPM placement.  A failure message embeds
+per-pc miss differential, the packed cache analysis against the
+dict-based oracle (``repro.testing.cache_oracle``), and a greedy SPM
+placement.  A failure message embeds
 ``repro-gen --seed N --size S`` — that command alone reproduces the
 exact program locally.
 """
@@ -71,5 +72,5 @@ def test_spm_placement_soundness(seed):
 @pytest.mark.parametrize("seed", range(BASE_SEED,
                                        BASE_SEED + max(EXAMPLES // 50, 1)))
 def test_abstract_domain_differential(seed):
-    """Packed bitset vs dict cache domains on generated programs."""
+    """Packed cache analysis vs the dict oracle on generated programs."""
     check_seed(seed, "small", wcet=False, domains=True)

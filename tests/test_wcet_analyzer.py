@@ -184,3 +184,44 @@ class TestDiagnostics:
         # Rejected as an unbounded loop (before IPET even runs).
         with pytest.raises((IPETError, LoopError)):
             analyze_wcet(image, SystemConfig.uncached())
+
+
+class TestMemoBounds:
+    """The frontend and IPET memos are bounded LRUs: a long-lived
+    process analysing an endless stream of new programs stays flat."""
+
+    def test_frontend_memo_never_exceeds_its_cap(self):
+        from repro.wcet import analyzer
+        analyzer.clear_analysis_caches()
+        try:
+            cap = analyzer.FRONTEND_CAPACITY
+            for value in range(cap + 1):
+                image = link(compile_source(
+                    f"int main(void) {{ return {value}; }}").program)
+                analyze_wcet(image, SystemConfig.uncached())
+                assert len(analyzer._FRONTEND_CACHE) <= cap
+            assert len(analyzer._FRONTEND_CACHE) == cap
+        finally:
+            analyzer.clear_analysis_caches()
+
+    def test_ipet_memo_never_exceeds_its_cap(self):
+        from repro.wcet import analyzer
+        from repro.wcet.loops import resolve_bounds
+        analyzer.clear_analysis_caches()
+        try:
+            image = link(compile_source(
+                "int main(void) { return 3; }").program)
+            cfg = analyzer._frontend(image, "_start")[0]["main"]
+            loops = resolve_bounds(cfg, image.loop_bounds,
+                                   image.loop_totals)
+            cap = analyzer.IPET_CAPACITY
+            # cap + 1 distinct cost vectors: one more than the memo holds.
+            for cost in range(cap + 1):
+                result = analyzer._solve_ipet_cached(
+                    image.content_key(), "main", cfg,
+                    dict.fromkeys(cfg.blocks, cost), {}, loops, {})
+                assert result.wcet == cost * len(cfg.blocks)
+                assert len(analyzer._IPET_CACHE) <= cap
+            assert len(analyzer._IPET_CACHE) == cap
+        finally:
+            analyzer.clear_analysis_caches()

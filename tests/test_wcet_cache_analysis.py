@@ -6,9 +6,10 @@ from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
 from repro.sim import simulate_oracle
+from repro.testing.cache_oracle import MayCache, MustCache
 from repro.wcet import AH, FM, NC, CacheAnalysis, build_all_cfgs
 from repro.wcet.analyzer import analyze_wcet
-from repro.wcet.cacheanalysis import MayCache, MustCache, analyze_hierarchy
+from repro.wcet.cacheanalysis import analyze_hierarchy
 from repro.wcet.stackdepth import stack_region
 
 
