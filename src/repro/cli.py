@@ -235,7 +235,8 @@ def cmd_trace(args):
         replay(trace, config)
         after = trace_counters()
         served = [key for key in ("replay_numpy", "replay_scalar",
-                                  "sweep_numpy", "grid_numpy")
+                                  "sweep_numpy", "grid_numpy",
+                                  "grid_scalar")
                   if after[key] > before.get(key, 0)]
         print(f"# replay served by: {', '.join(served) or 'cache'}")
         print("# trace counters:")
@@ -316,8 +317,9 @@ def cmd_sweep(args):
     for size, assoc in skipped:
         print(f"# skipped {size}B assoc={assoc}: fewer than one set")
     after = trace_counters()
-    served = [key for key in ("grid_numpy", "sweep_numpy",
-                              "replay_numpy", "replay_scalar")
+    served = [key for key in ("grid_numpy", "grid_scalar",
+                              "sweep_numpy", "replay_numpy",
+                              "replay_scalar")
               if after[key] > before.get(key, 0)]
     print(f"# kernel: {', '.join(served) or 'cached'}")
     return 0
@@ -393,12 +395,13 @@ def cmd_annotations(args):
 def cmd_cache(args):
     """Inspect / maintain an on-disk artifact store directory.
 
-    Works on any store the trace or analysis layers write
-    (``set_trace_cache_dir`` / ``set_analysis_cache_dir`` /
-    ``evaluate_points`` worker caches): ``stats`` inventories it,
-    ``verify`` re-checksums every entry (quarantining failures),
-    ``gc`` enforces a byte cap (oldest-mtime entries evicted first)
-    and reaps stale ``.tmp*`` orphans, ``clear`` empties it.
+    Works on any layer directory of the trace or analysis memos
+    (:func:`~repro.experiments.common.attach_stores`, used by
+    ``evaluate_points`` workers and ``repro-serve``): ``stats``
+    inventories it, ``verify`` re-checksums every entry (quarantining
+    failures), ``gc`` enforces a byte cap (oldest-mtime entries
+    evicted first) and reaps stale ``.tmp*`` orphans, ``clear``
+    empties it.
     """
     import os as _os
 

@@ -18,9 +18,10 @@ rewrites the task list: all cache tasks of one benchmark collapse into
 a single batched unit served by :meth:`~repro.workflow.Workflow.
 cache_points`, which replays the benchmark's recorded trace instead of
 re-executing it per configuration and evaluates same-geometry size
-sweeps in one stack-distance pass.  Workers additionally share an
-on-disk trace cache next to the PR-4 analysis reuse cache, so a trace
-recorded by one process is loaded, not re-executed, by every other.
+sweeps in one stack-distance pass.  Workers additionally share the
+on-disk layers of the trace and analysis reuse memos
+(:func:`attach_stores`), so a trace recorded by one process is loaded,
+not re-executed, by every other.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import tempfile
 
 from ..benchmarks import get as get_benchmark
 from ..serve.supervisor import SupervisedPool, TaskFailure
-from ..sim.trace import set_trace_cache_dir
-from ..wcet.cacheanalysis import set_analysis_cache_dir
+from ..sim.trace import TRACES
+from ..store import ArtifactStore, ShardedArtifactStore
+from ..wcet.cacheanalysis import REUSE
 from ..workflow import PAPER_SIZES, Workflow
 
 #: Reduced sweep for fast/benchmark runs.
@@ -121,6 +123,43 @@ def workflow_for(key: str) -> Workflow:
     return _WORKFLOWS[key]
 
 
+#: The on-disk layout of a reuse-cache directory (and of each shard
+#: root): subdirectory -> (memo, entry suffix).  No other code names
+#: these directories or suffixes.
+STORE_LAYOUT = {
+    "analysis": (REUSE, ".pkl"),
+    "traces": (TRACES, ".trace.pkl"),
+}
+
+
+def store_roots(cache_dir=None, shard_dirs=()) -> dict:
+    """Layer name -> the directories its disk store spans: one under
+    *cache_dir*, or one under each of *shard_dirs* (which win)."""
+    bases = list(shard_dirs) or ([cache_dir] if cache_dir else [])
+    return {name: [os.path.join(base, name) for base in bases]
+            for name in STORE_LAYOUT}
+
+
+def attach_stores(cache_dir=None, shard_dirs=(), replicas=1):
+    """Give the trace and analysis memos their shared disk layers.
+
+    With *shard_dirs* each memo's layer is one
+    :class:`~repro.store.ShardedArtifactStore` over the shard roots
+    with *replicas* write-behind copies (the cluster deployment);
+    otherwise an :class:`~repro.store.ArtifactStore` under *cache_dir*;
+    with neither, the memos go memory-only.
+    """
+    for name, roots in store_roots(cache_dir, shard_dirs).items():
+        memo, suffix = STORE_LAYOUT[name]
+        if not roots:
+            memo.store = None
+        elif shard_dirs:
+            memo.store = ShardedArtifactStore(roots, suffix=suffix,
+                                              replicas=replicas)
+        else:
+            memo.store = ArtifactStore(roots[0], suffix=suffix)
+
+
 def sizes(fast: bool):
     return FAST_SIZES if fast else PAPER_SIZES
 
@@ -171,8 +210,7 @@ def _init_worker(bench_keys, profile_keys, cache_dir):
     global _JOBS
     _JOBS = 1  # workers never nest their own pools
     if cache_dir:
-        set_analysis_cache_dir(os.path.join(cache_dir, "analysis"))
-        set_trace_cache_dir(os.path.join(cache_dir, "traces"))
+        attach_stores(cache_dir)
     for key in bench_keys:
         workflow_for(key).warm(profile=key in profile_keys)
 
@@ -317,8 +355,6 @@ def evaluate_points(tasks):
     # (analysis fixpoints + recorded traces): what one worker computes,
     # every other worker loads.
     cache_dir = tempfile.mkdtemp(prefix="repro-reuse-")
-    os.makedirs(os.path.join(cache_dir, "analysis"))
-    os.makedirs(os.path.join(cache_dir, "traces"))
     try:
         _evaluate_parallel(units, merge, results, context,
                            (bench_keys, needs_profile, cache_dir))

@@ -159,17 +159,13 @@ class ServeDaemon:
             # Claim before building the pool: a losing racer exits
             # without having forked workers it must then tear down.
             self._claim_socket_path()
-        if self.cache_dir:
-            os.makedirs(os.path.join(self.cache_dir, "analysis"),
-                        exist_ok=True)
-            os.makedirs(os.path.join(self.cache_dir, "traces"),
-                        exist_ok=True)
-        for shard in self.shard_dirs:
-            os.makedirs(os.path.join(shard, "analysis"), exist_ok=True)
-            os.makedirs(os.path.join(shard, "traces"), exist_ok=True)
+        from ..experiments.common import store_roots, workflow_for
+        for roots in store_roots(self.cache_dir,
+                                 self.shard_dirs).values():
+            for root in roots:
+                os.makedirs(root, exist_ok=True)
         # Pre-warm in the daemon process so fork-platform workers
         # inherit the compiled workflows instead of redoing them.
-        from ..experiments.common import workflow_for
         for key in self.warm:
             workflow_for(key).warm()
         import multiprocessing
@@ -618,14 +614,14 @@ class ServeDaemon:
         return payload
 
     def _store_stats(self) -> dict:
+        from ..experiments.common import store_roots
         from ..store import ArtifactStore
-        roots = list(self.shard_dirs) or [self.cache_dir]
         stores = {}
-        for name in ("analysis", "traces"):
+        for name, roots in store_roots(self.cache_dir,
+                                       self.shard_dirs).items():
             entries = size = quarantined = 0
             found = False
-            for base in roots:
-                root = os.path.join(base, name)
+            for root in roots:
                 if not os.path.isdir(root):
                     continue
                 found = True

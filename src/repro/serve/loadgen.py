@@ -402,12 +402,12 @@ def _spawn_cluster(args, workdir, count):
 
 def _quarantined_files(shard_dirs) -> int:
     """Committed-then-quarantined entries across every shard layer."""
+    from ..experiments.common import store_roots
     count = 0
-    for shard in shard_dirs:
-        for layer in ("analysis", "traces"):
-            corrupt = os.path.join(shard, layer, "corrupt")
+    for roots in store_roots(shard_dirs=shard_dirs).values():
+        for root in roots:
             try:
-                count += len(os.listdir(corrupt))
+                count += len(os.listdir(os.path.join(root, "corrupt")))
             except OSError:
                 continue
     return count

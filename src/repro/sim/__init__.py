@@ -41,7 +41,6 @@ from .trace import (
     placed_trace,
     record_trace,
     relocate,
-    set_trace_cache_dir,
     trace_counters,
     trace_for,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "grid_geometry", "replay", "replay_grid", "replay_misses",
     "replay_sweep", "sweep_geometry",
     "RelocationError", "Trace", "clear_trace_caches", "placed_trace",
-    "record_trace", "relocate", "set_trace_cache_dir", "trace_counters",
-    "trace_for",
+    "record_trace", "relocate", "trace_counters", "trace_for",
     "TraceFormatError", "dump_trace", "load_trace", "parse_trace",
 ]

@@ -528,6 +528,7 @@ def replay_grid(trace: Trace, configs,
     lru_positions = [i for i, spec in enumerate(specs) if spec.assoc > 1]
 
     if dm_positions:
+        COUNTERS["grid_numpy"] += 1
         nsets_list = [specs[i].num_sets for i in dm_positions]
         dm_counts = kernels.dm_sweep_counts(
             kernels.ops_view(trace.ops), line, unified, nsets_list,
@@ -535,6 +536,7 @@ def replay_grid(trace: Trace, configs,
         for position, counts in zip(dm_positions, dm_counts):
             counts_for[position] = counts
     if lru_positions:
+        COUNTERS["grid_scalar"] += 1
         points = [(specs[i].assoc, specs[i].num_sets)
                   for i in lru_positions]
         if unified and any(trace.op_counts[4:7]):
@@ -555,7 +557,6 @@ def replay_grid(trace: Trace, configs,
         for plan, counts in zip(plans, counts_for)]
     COUNTERS["grid_passes"] += 1
     COUNTERS["grid_points"] += len(configs)
-    COUNTERS["grid_numpy"] += 1
     return results
 
 

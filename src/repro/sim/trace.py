@@ -48,9 +48,10 @@ Contents, packed for tight replay loops:
   results every replay re-reports.
 
 Traces are content-addressed via :meth:`~repro.link.image.Image.
-content_key` through an in-process table plus an optional shared on-disk
-layer (:func:`set_trace_cache_dir`), mirroring the PR-4 analysis reuse
-cache; ``repro-cc trace --profile`` dumps the counters.
+content_key` through :data:`TRACES`, a :class:`~repro.store.Memo` like
+the analysis reuse memo: a bounded in-process LRU plus the optional
+shared on-disk layer :func:`repro.experiments.common.attach_stores`
+gives it.  ``repro-cc trace --profile`` dumps the counters.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from array import array
 from functools import partial
 
 from ..memory.hierarchy import SystemConfig
-from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
+from ..store import LRUCache, Memo
 from . import kernels
 # The engine records straight into this layout; the access-kind tags
 # (low 3 bits of every packed word) are defined next to it.
@@ -78,9 +79,6 @@ TAG_WIDTH = (2, 1, 2, 4, 1, 2, 4, 2)
 _TRACE_VERSION = "trace-3"
 
 COUNTERS = {
-    "trace_hits": 0,
-    "trace_misses": 0,
-    "trace_disk_hits": 0,
     "trace_records": 0,
     "replay_runs": 0,
     "miss_replays": 0,
@@ -89,44 +87,38 @@ COUNTERS = {
     "grid_passes": 0,
     "grid_points": 0,
     # Which path served each replay (numpy kernels or the scalar walk)
-    # and each sweep/grid pass (`repro-cc trace --profile`).
+    # and each sweep/grid pass (`repro-cc trace --profile`).  A grid
+    # pass with both direct-mapped and LRU points counts in both.
     "replay_scalar": 0,
     "replay_numpy": 0,
     "sweep_numpy": 0,
     "grid_numpy": 0,
-    # Bounded-memory in-process layers (PR 8): evictions from the
-    # trace LRU and from the per-trace kernel memos.
-    "trace_evictions": 0,
+    "grid_scalar": 0,
+    # Evictions from the per-trace kernel memos (bounded memory).
     "memo_evictions": 0,
     # Placed images whose trace :func:`relocate` could not prove
     # placement-invariant, so they were recorded on their own.
     "relocations_refused": 0,
 }
 
+#: In-process trace table bound: traces are the largest objects the
+#: process holds on to.
+TRACE_CAPACITY = 64
 
-def _count_trace_eviction():
-    COUNTERS["trace_evictions"] += 1
+#: Per-trace replay-kernel memo bound (entries are stream reductions
+#: comparable in size to the trace itself).
+STREAM_MEMO_CAPACITY = 16
+
+#: The content-addressed trace memo (``trace_*`` counters).
+TRACES = Memo("trace", TRACE_CAPACITY)
 
 
 def _count_memo_eviction():
     COUNTERS["memo_evictions"] += 1
 
 
-#: In-process trace table: bounded LRU (traces are the largest objects
-#: the process holds on to; REPRO_TRACE_CACHE_CAP / 0 = unbounded).
-_TRACE_CACHE = LRUCache(env_capacity("REPRO_TRACE_CACHE_CAP", 64),
-                        on_evict=_count_trace_eviction)
-
-#: Shared on-disk layer (:class:`repro.store.ArtifactStore`), or None.
-_TRACE_STORE = None
-
-#: Per-trace replay-kernel memo bound (entries are stream reductions
-#: comparable in size to the trace itself; REPRO_STREAM_MEMO_CAP).
-_MEMO_CAP = env_capacity("REPRO_STREAM_MEMO_CAP", 16)
-
-
 def _new_memo():
-    return LRUCache(_MEMO_CAP, on_evict=_count_memo_eviction)
+    return LRUCache(STREAM_MEMO_CAPACITY, on_evict=_count_memo_eviction)
 
 
 class Trace:
@@ -514,63 +506,15 @@ def placed_trace(baseline, image, spm_size: int = None,
 
 # -- the content-addressed trace cache --------------------------------------
 
-def set_trace_cache_dir(path, max_bytes=None):
-    """Enable (or with None disable) the shared on-disk trace layer.
-
-    The layer is a checksummed, corruption-quarantining
-    :class:`repro.store.ArtifactStore`; *max_bytes* optionally caps it
-    with mtime-LRU garbage collection.
-    """
-    global _TRACE_STORE
-    _TRACE_STORE = (None if path is None else
-                    ArtifactStore(path, suffix=".trace.pkl",
-                                  max_bytes=max_bytes))
-
-
-def set_trace_store(store):
-    """Install a prebuilt store object as the on-disk trace layer.
-
-    The cluster tier passes a
-    :class:`repro.store.ShardedArtifactStore` here; anything with the
-    ``load`` / ``store`` / ``counters`` surface works.  ``None``
-    disables the layer, same as ``set_trace_cache_dir(None)``.
-    """
-    global _TRACE_STORE
-    _TRACE_STORE = store
-
-
-def trace_cache_dir():
-    return None if _TRACE_STORE is None else _TRACE_STORE.root
-
-
-def trace_store():
-    """The on-disk :class:`~repro.store.ArtifactStore`, or None."""
-    return _TRACE_STORE
-
-
-def set_trace_cache_capacity(capacity):
-    """Bound (or with None unbound) the in-process trace table."""
-    _TRACE_CACHE.set_capacity(capacity)
-
-
-def set_stream_memo_capacity(capacity):
-    """Per-trace kernel-memo bound for traces created afterwards."""
-    global _MEMO_CAP
-    _MEMO_CAP = capacity
-
-
 def clear_trace_caches():
     """Drop every in-memory trace (the disk layer is untouched)."""
-    _TRACE_CACHE.clear()
+    TRACES.clear()
 
 
 def trace_counters() -> dict:
-    """The in-process counters plus the disk store's, one flat dict."""
+    """The in-process counters plus the trace memo's, one flat dict."""
     merged = dict(COUNTERS)
-    store_counts = (_TRACE_STORE.counters if _TRACE_STORE is not None
-                    else dict.fromkeys(STORE_COUNTER_KEYS, 0))
-    for key in STORE_COUNTER_KEYS:
-        merged[f"trace_store_{key}"] = store_counts[key]
+    merged.update(TRACES.counters())
     return merged
 
 
@@ -588,22 +532,8 @@ def trace_for(image, spm_size: int = None,
     if spm_size is None:
         spm_size = _image_spm_size(image)
     key = (_TRACE_VERSION, image.content_key(), spm_size)
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        COUNTERS["trace_hits"] += 1
-        return trace
-    if _TRACE_STORE is not None:
-        # The store verifies the envelope checksum before unpickling;
-        # corrupt entries are quarantined and counted, never served.
-        trace = _TRACE_STORE.load(key)
-        if trace is not None:
-            _TRACE_CACHE[key] = trace
-            COUNTERS["trace_hits"] += 1
-            COUNTERS["trace_disk_hits"] += 1
-            return trace
-    COUNTERS["trace_misses"] += 1
-    trace = record_trace(image, spm_size, max_steps)
-    _TRACE_CACHE[key] = trace
-    if _TRACE_STORE is not None:
-        _TRACE_STORE.store(key, trace)
+    trace = TRACES.get(key)
+    if trace is None:
+        trace = record_trace(image, spm_size, max_steps)
+        TRACES.put(key, trace)
     return trace

@@ -1,11 +1,12 @@
-"""Resilient content-addressed artifact store + bounded LRU caches.
+"""Resilient content-addressed artifact store + the memos built on it.
 
 Every expensive result in this repo — recorded traces, cache-analysis
-fixpoints — is a pure function of ``(image content key, config)``, and
-PRs 4–7 made them flow through content-addressed caches: an in-process
-dict in front of an optional shared on-disk directory.  That substrate
-is what the whole "trace once / analyse once, serve many" story rests
-on, so it has to be *trustworthy*, not merely fast:
+fixpoints, WCET frontends, IPET solutions — is a pure function of
+``(image content key, inputs)``, and flows through one content-addressed
+:class:`Memo`: a bounded in-process LRU in front of an optional shared
+on-disk store.  That substrate is what the whole "trace once / analyse
+once, serve many" story rests on, so it has to be *trustworthy*, not
+merely fast:
 
 * a half-written or bit-flipped disk entry must be **detected and
   quarantined** (moved aside and counted), never silently unpickled
@@ -18,10 +19,11 @@ on, so it has to be *trustworthy*, not merely fast:
 * the in-process layers must be bounded (the serving-daemon north star
   cannot tolerate caches that grow without limit).
 
-:class:`ArtifactStore` is the one shared disk-cache implementation
-behind :func:`repro.sim.trace.set_trace_cache_dir` and
-:func:`repro.wcet.cacheanalysis.set_analysis_cache_dir`.  Entries are
-pickles wrapped in a checksummed envelope::
+:class:`ArtifactStore` is the one disk-cache implementation; the trace
+and analysis memos get theirs from
+:func:`repro.experiments.common.attach_stores`, the one function that
+knows the on-disk layout.  Entries are pickles wrapped in a checksummed
+envelope::
 
     repro-store 1 <kind><checksum> <payload-length>\\n<payload>
 
@@ -52,8 +54,10 @@ replication, and each member shard keeps its own quarantine and
 degradation state — one shard on a full disk never stops the others.
 
 :class:`LRUCache` is the bounded in-process companion: a move-to-front
-dict with an eviction counter, used for the trace table, the analysis
-reuse table and the per-trace replay-kernel memo.
+dict with an eviction counter.  :class:`Memo` puts one in front of a
+store and keeps the one counter shape every memo reports
+(``{prefix}_hits`` / ``_misses`` / ``_evictions``, plus ``_disk_hits``
+and the store block for the disk-backed memos).
 
 Deterministic fault injection for all of this lives in
 :mod:`repro.testing.faults`; the write path consults it only when the
@@ -134,11 +138,10 @@ def _fault_write_mode():
 class LRUCache:
     """Bounded mapping with move-to-front reads and an eviction count.
 
-    Drop-in for the plain dicts the in-process cache layers used to be
-    (``get`` / ``[key] = value`` / ``clear`` / ``len``): inserting
+    Supports ``get`` / ``[key] = value`` / ``clear`` / ``len``; inserting
     beyond *capacity* evicts the least recently used entry and bumps
     ``evictions`` (plus the optional *on_evict* callback, which the
-    cache modules use to feed their ``--profile`` counter blocks).
+    per-trace stream memos use to count into one process-wide total).
     ``capacity`` None means unbounded.
     """
 
@@ -177,17 +180,6 @@ class LRUCache:
 
     def __len__(self):
         return len(self._data)
-
-    def set_capacity(self, capacity):
-        """Change the bound, evicting immediately if now over it."""
-        self.capacity = capacity
-        if capacity is not None:
-            data = self._data
-            while len(data) > capacity:
-                data.popitem(last=False)
-                self.evictions += 1
-                if self.on_evict is not None:
-                    self.on_evict()
 
     def clear(self):
         self._data.clear()
@@ -776,13 +768,69 @@ class ShardedArtifactStore:
         }
 
 
-def env_capacity(name: str, default: int):
-    """Integer cache-capacity knob from the environment (0 = unbounded)."""
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return None if value <= 0 else value
+class Memo:
+    """One content-addressed memo: a bounded LRU in front of an
+    optional disk store, with one counter block.
+
+    :meth:`get` tries memory first, then :attr:`store` (a disk hit is
+    promoted into memory); :meth:`put` writes both.  Values are never
+    None — None means "not memoised".  The store is any object with the
+    :class:`ArtifactStore` ``load`` / ``store`` / ``counters`` surface
+    (a :class:`ShardedArtifactStore` in the cluster), attached by
+    :func:`repro.experiments.common.attach_stores`; *disk* False marks
+    an in-process-only memo, which never gets one.
+
+    :meth:`counters` reports ``{prefix}_hits`` (disk hits included),
+    ``_misses`` and ``_evictions``; a *disk* memo adds ``_disk_hits``
+    and the store's block as ``{prefix}_store_*`` (zeros while no store
+    is attached).
+    """
+
+    def __init__(self, prefix: str, capacity, disk: bool = True):
+        self.prefix = prefix
+        self.disk = disk
+        self.cache = LRUCache(capacity)
+        self.store = None
+        self.hits = self.misses = self.disk_hits = 0
+
+    def get(self, key):
+        value = self.cache.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        if self.store is not None:
+            # The store verifies the envelope checksum before unpickling;
+            # corrupt entries are quarantined and counted, never served.
+            value = self.store.load(key)
+            if value is not None:
+                self.cache[key] = value
+                self.hits += 1
+                self.disk_hits += 1
+                return value
+        self.misses += 1
+        return None
+
+    def put(self, key, value):
+        self.cache[key] = value
+        if self.store is not None:
+            self.store.store(key, value)
+
+    def clear(self):
+        """Drop every in-memory entry (the disk layer is untouched)."""
+        self.cache.clear()
+
+    def __len__(self):
+        return len(self.cache)
+
+    def counters(self) -> dict:
+        prefix = self.prefix
+        out = {f"{prefix}_hits": self.hits,
+               f"{prefix}_misses": self.misses,
+               f"{prefix}_evictions": self.cache.evictions}
+        if self.disk:
+            out[f"{prefix}_disk_hits"] = self.disk_hits
+            store = (self.store.counters if self.store is not None
+                     else dict.fromkeys(STORE_COUNTER_KEYS, 0))
+            for key in STORE_COUNTER_KEYS:
+                out[f"{prefix}_store_{key}"] = store[key]
+        return out

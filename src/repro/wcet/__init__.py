@@ -24,7 +24,6 @@ from .cacheanalysis import (
     HierarchyCacheResult,
     PackedCacheDomain,
     analyze_hierarchy,
-    set_analysis_cache_dir,
 )
 from .cfg import BasicBlock, CFGError, FunctionCFG, build_all_cfgs, \
     build_function_cfg
@@ -41,7 +40,6 @@ __all__ = [
     "generate_annotations", "parse_annotations",
     "AH", "FM", "NC", "CacheAnalysis", "CacheAnalysisResult",
     "HierarchyCacheResult", "PackedCacheDomain", "analyze_hierarchy",
-    "set_analysis_cache_dir",
     "BasicBlock", "CFGError", "FunctionCFG", "build_all_cfgs",
     "build_function_cfg",
     "IPETError", "IPETResult", "solve_function_ipet",

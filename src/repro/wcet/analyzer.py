@@ -15,9 +15,9 @@ Pipeline, mirroring the separated cache/path architecture the paper cites
 All repeated work is content-addressed (see ``docs/performance.md``):
 the *frontend* (CFG reconstruction, stack analysis, access resolution)
 is memoized per image content hash, each cache level's fixpoints go
-through :mod:`~repro.wcet.cacheanalysis`'s reuse cache, and per-function
+through :mod:`~repro.wcet.cacheanalysis`'s reuse memo, and per-function
 IPET solutions are memoized on their exact inputs (costs, edge extras,
-scope penalties).  A sweep that re-analyses one image under many memory
+scope penalties) — every one a :class:`~repro.store.Memo`.  A sweep that re-analyses one image under many memory
 configurations therefore only pays for what actually changed.
 """
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from ..isa.opcodes import Op
 from ..link.image import Image
 from ..memory.hierarchy import SystemConfig
-from ..store import LRUCache
+from ..store import Memo
 from . import cacheanalysis
 from .accesses import resolve_all
 from .cacheanalysis import FM, analyze_hierarchy
@@ -52,55 +52,46 @@ FRONTEND_CAPACITY = 128
 IPET_CAPACITY = 4096
 
 #: (image content key, entry) -> (cfgs, entry_by_addr, stack, accesses).
-_FRONTEND_CACHE = LRUCache(FRONTEND_CAPACITY)
+FRONTEND = Memo("frontend", FRONTEND_CAPACITY, disk=False)
 
 #: exact IPET inputs -> IPETResult (the solver is deterministic).
-_IPET_CACHE = LRUCache(IPET_CAPACITY)
-
-COUNTERS = {
-    "frontend_hits": 0,
-    "frontend_misses": 0,
-    "ipet_hits": 0,
-    "ipet_misses": 0,
-}
+IPET = Memo("ipet", IPET_CAPACITY, disk=False)
 
 
 def clear_analysis_caches():
-    """Drop every in-memory analysis cache (frontend, IPET, and the
-    cache-analysis reuse layer) — cold-start measurement helper."""
-    _FRONTEND_CACHE.clear()
-    _IPET_CACHE.clear()
+    """Drop every in-memory analysis memo (frontend, IPET, and the
+    cache-analysis reuse memo) — cold-start measurement helper."""
+    FRONTEND.clear()
+    IPET.clear()
     cacheanalysis.clear_analysis_caches()
 
 
 def analysis_counters() -> dict:
-    """Merged cache/interning counters (``repro-cc wcet --profile``).
+    """Merged memo/interning counters (``repro-cc wcet --profile``).
 
     Includes the on-disk reuse store's resilience counters
     (``reuse_store_corrupt`` and friends), so silently-impossible
     corruption handling stays observable.
     """
-    merged = cacheanalysis.reuse_counters()
-    merged.update(COUNTERS)
+    merged = dict(cacheanalysis.COUNTERS)
+    for memo in (cacheanalysis.REUSE, FRONTEND, IPET):
+        merged.update(memo.counters())
     return merged
 
 
 def _frontend(image: Image, entry: str):
     """Memoized CFG + stack + access resolution for one image."""
     key = (image.content_key(), entry)
-    front = _FRONTEND_CACHE.get(key)
-    if front is not None:
-        COUNTERS["frontend_hits"] += 1
-        return front
-    COUNTERS["frontend_misses"] += 1
-    cfgs = build_all_cfgs(image)
-    entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
-    if entry not in cfgs:
-        raise WCETError(f"no function named {entry!r} in the image")
-    stack_rng = stack_region(cfgs, entry, entry_by_addr)
-    data_accesses = resolve_all(image, cfgs, stack_rng)
-    front = (cfgs, entry_by_addr, stack_rng, data_accesses)
-    _FRONTEND_CACHE[key] = front
+    front = FRONTEND.get(key)
+    if front is None:
+        cfgs = build_all_cfgs(image)
+        entry_by_addr = {cfg.entry: name for name, cfg in cfgs.items()}
+        if entry not in cfgs:
+            raise WCETError(f"no function named {entry!r} in the image")
+        stack_rng = stack_region(cfgs, entry, entry_by_addr)
+        data_accesses = resolve_all(image, cfgs, stack_rng)
+        front = (cfgs, entry_by_addr, stack_rng, data_accesses)
+        FRONTEND.put(key, front)
     return front
 
 
@@ -113,14 +104,11 @@ def _solve_ipet_cached(image_key, name, cfg, block_costs, edge_extras,
            tuple(sorted(block_costs.items())),
            tuple(sorted(edge_extras.items())),
            tuple(sorted(scope_penalties.items())))
-    result = _IPET_CACHE.get(key)
-    if result is not None:
-        COUNTERS["ipet_hits"] += 1
-        return result
-    COUNTERS["ipet_misses"] += 1
-    result = solve_function_ipet(cfg, block_costs, edge_extras, loops,
-                                 scope_penalties)
-    _IPET_CACHE[key] = result
+    result = IPET.get(key)
+    if result is None:
+        result = solve_function_ipet(cfg, block_costs, edge_extras, loops,
+                                     scope_penalties)
+        IPET.put(key, result)
     return result
 
 

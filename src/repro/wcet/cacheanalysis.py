@@ -61,13 +61,14 @@ Two engineering layers make it fast (see ``docs/performance.md``):
   out-state memoization and join change-detection are pointer
   comparisons.  The independent dict-based reference the tests check
   this against lives in the test-support package, not here;
-* a **content-addressed analysis reuse cache** keyed by (image content
-  hash, cache config, CAC inputs, ...): :func:`analyze_hierarchy`
-  consults it before running a level's fixpoints, so a sweep point that
-  varies only the SPM capacity or an unrelated level skips every
-  unchanged per-level analysis.  :func:`set_analysis_cache_dir` adds a
-  shared on-disk layer so ``repro-experiments --jobs N`` workers reuse
-  each other's fixpoints, not just their own.
+* a **content-addressed analysis reuse memo** (:data:`REUSE`, a
+  :class:`~repro.store.Memo`) keyed by (image content hash, cache
+  config, CAC inputs, ...): :func:`analyze_hierarchy` consults it
+  before running a level's fixpoints, so a sweep point that varies
+  only the SPM capacity or an unrelated level skips every unchanged
+  per-level analysis.  :func:`repro.experiments.common.attach_stores`
+  gives it a shared on-disk layer so ``repro-experiments --jobs N``
+  workers reuse each other's fixpoints, not just their own.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..memory.cache import CacheConfig
-from ..store import STORE_COUNTER_KEYS, ArtifactStore, LRUCache, env_capacity
+from ..store import Memo
 from .accesses import resolve_all, resolve_data_access
 from .cfg import FunctionCFG
 
@@ -257,34 +258,24 @@ class PackedCacheDomain:
 
 
 # --------------------------------------------------------------------------
-# Hash-consing and the analysis reuse cache
+# Hash-consing and the analysis reuse memo
 # --------------------------------------------------------------------------
 
-#: Process-wide instrumentation (``repro-cc wcet --profile`` prints it).
+#: Process-wide instrumentation (``repro-cc wcet --profile`` prints it
+#: next to the reuse memo's ``reuse_*`` counters).
 COUNTERS = {
     "intern_hits": 0,
     "intern_misses": 0,
-    "reuse_hits": 0,
-    "reuse_disk_hits": 0,
-    "reuse_misses": 0,
-    "reuse_evictions": 0,
 }
 
 #: Bump when analysis semantics change: invalidates on-disk reuse entries.
 _CACHE_VERSION = "wcet-bitset-1"
 
+#: In-process bound of the reuse memo.
+REUSE_CAPACITY = 512
 
-def _count_reuse_eviction():
-    COUNTERS["reuse_evictions"] += 1
-
-
-#: In-process reuse table: bounded LRU (REPRO_REUSE_CACHE_CAP knob,
-#: 0 = unbounded) instead of the unbounded dict it used to be.
-_REUSE_CACHE = LRUCache(env_capacity("REPRO_REUSE_CACHE_CAP", 512),
-                        on_evict=_count_reuse_eviction)
-
-#: Shared on-disk layer (:class:`repro.store.ArtifactStore`), or None.
-_REUSE_STORE = None
+#: The content-addressed per-level analysis memo (``reuse_*`` counters).
+REUSE = Memo("reuse", REUSE_CAPACITY)
 
 
 def _intern(table, state):
@@ -299,81 +290,9 @@ def _intern(table, state):
     return state
 
 
-def set_analysis_cache_dir(path, max_bytes=None):
-    """Enable (or with None disable) the shared on-disk reuse layer.
-
-    The layer is a checksummed, corruption-quarantining
-    :class:`repro.store.ArtifactStore`; *max_bytes* optionally caps it
-    with mtime-LRU garbage collection.
-    """
-    global _REUSE_STORE
-    _REUSE_STORE = (None if path is None else
-                    ArtifactStore(path, suffix=".pkl",
-                                  max_bytes=max_bytes))
-
-
-def set_analysis_store(store):
-    """Install a prebuilt store object as the on-disk reuse layer.
-
-    The cluster tier passes a
-    :class:`repro.store.ShardedArtifactStore` here; anything with the
-    ``load`` / ``store`` / ``counters`` surface works.  ``None``
-    disables the layer, same as ``set_analysis_cache_dir(None)``.
-    """
-    global _REUSE_STORE
-    _REUSE_STORE = store
-
-
-def analysis_cache_dir():
-    return None if _REUSE_STORE is None else _REUSE_STORE.root
-
-
-def analysis_store():
-    """The on-disk :class:`~repro.store.ArtifactStore`, or None."""
-    return _REUSE_STORE
-
-
-def set_analysis_cache_capacity(capacity):
-    """Bound (or with None unbound) the in-process reuse table."""
-    _REUSE_CACHE.set_capacity(capacity)
-
-
 def clear_analysis_caches():
     """Drop every in-memory reuse entry (the disk layer is untouched)."""
-    _REUSE_CACHE.clear()
-
-
-def reuse_counters() -> dict:
-    """The in-process counters plus the disk store's, one flat dict."""
-    merged = dict(COUNTERS)
-    store_counts = (_REUSE_STORE.counters if _REUSE_STORE is not None
-                    else dict.fromkeys(STORE_COUNTER_KEYS, 0))
-    for key in STORE_COUNTER_KEYS:
-        merged[f"reuse_store_{key}"] = store_counts[key]
-    return merged
-
-
-def _reuse_get(key):
-    result = _REUSE_CACHE.get(key)
-    if result is not None:
-        COUNTERS["reuse_hits"] += 1
-        return result
-    if _REUSE_STORE is not None:
-        # Envelope-checksummed load: corrupt entries quarantine + count.
-        result = _REUSE_STORE.load(key)
-        if result is not None:
-            _REUSE_CACHE[key] = result
-            COUNTERS["reuse_hits"] += 1
-            COUNTERS["reuse_disk_hits"] += 1
-            return result
-    COUNTERS["reuse_misses"] += 1
-    return None
-
-
-def _reuse_put(key, result):
-    _REUSE_CACHE[key] = result
-    if _REUSE_STORE is not None:
-        _REUSE_STORE.store(key, result)
+    REUSE.clear()
 
 
 # --------------------------------------------------------------------------
@@ -1159,7 +1078,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
                    stack_range, entry_name, spm_size, use_persistence,
                    chained, serves_fetch, serves_data,
                    _cac_fingerprint(fetch_cac), _cac_fingerprint(data_cac))
-            cached = _reuse_get(key)
+            cached = REUSE.get(key)
             if cached is not None:
                 return cached
         result = CacheAnalysis(
@@ -1170,7 +1089,7 @@ def analyze_hierarchy(image, cfgs, config, stack_range, entry_name,
             resolved_accesses=resolved_accesses,
             intern_tables=intern_tables).run()
         if image_key is not None:
-            _reuse_put(key, result)
+            REUSE.put(key, result)
         return result
 
     fetch_cac = None

@@ -27,6 +27,7 @@ import pytest
 from repro.link import link
 from repro.memory import CacheConfig, SystemConfig
 from repro.minic import compile_source
+from repro.store import ArtifactStore
 from repro.testing.cache_oracle import (
     MayCache,
     MustCache,
@@ -350,12 +351,12 @@ class TestReuseCache:
         config = SystemConfig.two_level(CacheConfig(size=64),
                                         CacheConfig(size=1024))
         cacheanalysis.clear_analysis_caches()
-        before = dict(cacheanalysis.COUNTERS)
+        before = cacheanalysis.REUSE.counters()
         first = self._hierarchy(image, cfgs, rng, config)
-        mid = dict(cacheanalysis.COUNTERS)
+        mid = cacheanalysis.REUSE.counters()
         assert mid["reuse_misses"] - before["reuse_misses"] == 2  # L1 + L2
         second = self._hierarchy(image, cfgs, rng, config)
-        after = cacheanalysis.COUNTERS
+        after = cacheanalysis.REUSE.counters()
         assert after["reuse_hits"] - mid["reuse_hits"] == 2
         # Cache hits return the very same result objects.
         assert second.levels[0].iresult is first.levels[0].iresult
@@ -375,23 +376,24 @@ class TestReuseCache:
         assert results[1].levels[0].iresult is results[0].levels[0].iresult
         assert results[2].levels[0].iresult is results[0].levels[0].iresult
 
-    def test_disk_layer_round_trip(self, tmp_path):
+    def test_disk_layer_round_trip(self, tmp_path, monkeypatch):
         image, cfgs, rng = _frontend(LOOPY_SOURCE)
         config = SystemConfig.cached(CacheConfig(size=128))
-        cacheanalysis.set_analysis_cache_dir(tmp_path)
+        monkeypatch.setattr(cacheanalysis.REUSE, "store",
+                            ArtifactStore(tmp_path))
         try:
             cacheanalysis.clear_analysis_caches()
             first = self._hierarchy(image, cfgs, rng, config)
             assert list(tmp_path.rglob("*.pkl"))  # sharded store layout
             # A "new process": empty memory layer, same directory.
             cacheanalysis.clear_analysis_caches()
-            before = dict(cacheanalysis.COUNTERS)
+            before = cacheanalysis.REUSE.counters()
             second = self._hierarchy(image, cfgs, rng, config)
-            after = cacheanalysis.COUNTERS
+            after = cacheanalysis.REUSE.counters()
             assert after["reuse_disk_hits"] > before["reuse_disk_hits"]
             _classes_equal(first.primary, second.primary)
         finally:
-            cacheanalysis.set_analysis_cache_dir(None)
+            cacheanalysis.clear_analysis_caches()
 
     def test_content_key_tracks_image_content(self):
         image_a, _, _ = _frontend(LOOPY_SOURCE)

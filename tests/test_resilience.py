@@ -29,7 +29,8 @@ from repro.store import (
     STORE_COUNTER_KEYS,
     ArtifactStore,
     LRUCache,
-    env_capacity,
+    Memo,
+    ShardedArtifactStore,
     envelope,
     open_envelope,
 )
@@ -281,40 +282,83 @@ class TestLRUCache:
             cache[index] = index
         assert len(cache) == 1000 and cache.evictions == 0
 
-    def test_set_capacity_evicts_immediately(self):
-        cache = LRUCache()
-        for index in range(10):
-            cache[index] = index
-        cache.set_capacity(3)
-        assert len(cache) == 3 and cache.evictions == 7
-        assert 9 in cache and 0 not in cache
 
-    def test_env_capacity_knob(self, monkeypatch):
-        assert env_capacity("REPRO_TEST_CAP", 64) == 64
-        monkeypatch.setenv("REPRO_TEST_CAP", "8")
-        assert env_capacity("REPRO_TEST_CAP", 64) == 8
-        monkeypatch.setenv("REPRO_TEST_CAP", "0")
-        assert env_capacity("REPRO_TEST_CAP", 64) is None  # unbounded
-        monkeypatch.setenv("REPRO_TEST_CAP", "junk")
-        assert env_capacity("REPRO_TEST_CAP", 64) == 64
+class TestMemo:
+    """One memo shape for every reuse layer: memory, then disk."""
+
+    @pytest.fixture(params=["plain", "sharded"])
+    def store(self, request, tmp_path):
+        if request.param == "plain":
+            yield ArtifactStore(tmp_path / "memo")
+            return
+        store = ShardedArtifactStore(
+            [tmp_path / "a", tmp_path / "b"], replicas=2)
+        yield store
+        store.close()
+
+    def test_memory_disk_miss_and_eviction(self, store):
+        memo = Memo("probe", 2)
+        memo.store = store
+        assert memo.get("k0") is None  # miss: memory, then disk
+        memo.put("k0", "v0")
+        assert memo.get("k0") == "v0"  # memory hit
+        memo.put("k1", "v1")
+        memo.put("k2", "v2")  # evicts k0 from memory, not from disk
+        assert "k0" not in memo.cache and len(memo) == 2
+        assert memo.get("k0") == "v0"  # disk hit, promoted to memory
+        assert "k0" in memo.cache
+        counters = memo.counters()
+        assert (counters["probe_hits"], counters["probe_misses"],
+                counters["probe_disk_hits"],
+                counters["probe_evictions"]) == (2, 1, 1, 2)
+        for key in STORE_COUNTER_KEYS:
+            assert counters[f"probe_store_{key}"] == store.counters[key]
+        assert counters["probe_store_writes"] >= 3
+        assert counters["probe_store_hits"] == 1
+
+    def test_memory_only_memos(self):
+        memo = Memo("probe", 1)
+        memo.put("k", "v")
+        memo.clear()
+        assert memo.get("k") is None
+        # A disk memo without a store still reports a zeroed block.
+        assert memo.counters()["probe_store_writes"] == 0
+        # An in-process-only memo reports no disk keys at all.
+        assert sorted(Memo("local", 1, disk=False).counters()) == [
+            "local_evictions", "local_hits", "local_misses"]
+
+    def test_counters_carry_every_key_perfbench_reads(self):
+        """perfbench reads these keys with a default of 0, so a renamed
+        key would silently read as zero.  (``sweep_scalar`` is read
+        too, but no scalar sweep path exists: 0 is its true value.)"""
+        from repro.sim.trace import trace_counters
+        from repro.wcet.analyzer import analysis_counters
+        counters = dict(trace_counters())
+        counters.update(analysis_counters())
+        read = {
+            "trace_records", "trace_disk_hits",
+            "trace_store_hits", "trace_store_misses",
+            "reuse_store_hits", "reuse_store_misses",
+            "reuse_hits", "reuse_misses",
+            "frontend_hits", "frontend_misses",
+            "ipet_hits", "ipet_misses",
+            "replay_runs", "sweep_points", "grid_points",
+            "replay_scalar", "grid_scalar",
+        }
+        assert read <= set(counters), sorted(read - set(counters))
 
 
 class TestBoundedCacheLayers:
-    """The process-wide cache layers respect their capacity knobs."""
+    """The process-wide memos respect their capacity bounds."""
 
     @pytest.fixture
-    def trace_mod(self):
+    def trace_mod(self, monkeypatch):
         from repro.sim import trace as trace_mod
         saved_counters = dict(trace_mod.COUNTERS)
-        saved_cap = trace_mod._TRACE_CACHE.capacity
-        saved_memo_cap = trace_mod._MEMO_CAP
-        saved_store = trace_mod._TRACE_STORE
-        trace_mod.clear_trace_caches()
+        # A fresh memo per test: the process-wide one (and its
+        # counters) comes back untouched afterwards.
+        monkeypatch.setattr(trace_mod, "TRACES", Memo("trace", 1))
         yield trace_mod
-        trace_mod._TRACE_STORE = saved_store
-        trace_mod.set_trace_cache_capacity(saved_cap)
-        trace_mod.set_stream_memo_capacity(saved_memo_cap)
-        trace_mod.clear_trace_caches()
         trace_mod.COUNTERS.clear()
         trace_mod.COUNTERS.update(saved_counters)
 
@@ -333,40 +377,29 @@ class TestBoundedCacheLayers:
 
     def test_trace_table_bounded_with_observable_evictions(
             self, trace_mod):
-        trace_mod.set_trace_cache_capacity(1)
-        trace_mod.COUNTERS["trace_evictions"] = 0
         trace_mod.trace_for(self._image(1), 0)
         trace_mod.trace_for(self._image(2), 0)
-        assert len(trace_mod._TRACE_CACHE) == 1
-        assert trace_mod.COUNTERS["trace_evictions"] == 1
+        assert len(trace_mod.TRACES) == 1
+        assert trace_mod.TRACES.cache.evictions == 1
         assert trace_mod.trace_counters()["trace_evictions"] == 1
 
-    def test_stream_memo_bounded(self, trace_mod):
-        trace_mod.set_stream_memo_capacity(2)
+    def test_stream_memo_bounded(self, trace_mod, monkeypatch):
+        monkeypatch.setattr(trace_mod, "STREAM_MEMO_CAPACITY", 2)
+        trace_mod.COUNTERS["memo_evictions"] = 0
         trace = trace_mod.trace_for(self._image(3), 0)
         for key in range(10):
             trace._memo[("probe", key)] = key
         assert len(trace._memo) == 2
         assert trace._memo.evictions == 8
+        assert trace_mod.trace_counters()["memo_evictions"] == 8
 
-    def test_reuse_table_bounded(self):
-        from repro.wcet import cacheanalysis
-        saved_cap = cacheanalysis._REUSE_CACHE.capacity
-        saved_counters = dict(cacheanalysis.COUNTERS)
-        try:
-            cacheanalysis.clear_analysis_caches()
-            cacheanalysis.set_analysis_cache_capacity(2)
-            cacheanalysis.COUNTERS["reuse_evictions"] = 0
-            for key in range(5):
-                cacheanalysis._reuse_put(("bound-probe", key), key)
-            assert len(cacheanalysis._REUSE_CACHE) == 2
-            assert cacheanalysis.COUNTERS["reuse_evictions"] == 3
-            assert cacheanalysis.reuse_counters()["reuse_evictions"] == 3
-        finally:
-            cacheanalysis.set_analysis_cache_capacity(saved_cap)
-            cacheanalysis.clear_analysis_caches()
-            cacheanalysis.COUNTERS.clear()
-            cacheanalysis.COUNTERS.update(saved_counters)
+    def test_reuse_table_bounded(self, monkeypatch):
+        from repro.wcet import analyzer, cacheanalysis
+        monkeypatch.setattr(cacheanalysis, "REUSE", Memo("reuse", 2))
+        for key in range(5):
+            cacheanalysis.REUSE.put(("bound-probe", key), key)
+        assert len(cacheanalysis.REUSE) == 2
+        assert analyzer.analysis_counters()["reuse_evictions"] == 3
 
 
 # --------------------------------------------------------------------------
@@ -524,24 +557,27 @@ class TestFaultDifferential:
             self, scheduler, monkeypatch, tmp_path):
         """Serial sweep with every disk-cache write torn: the store
         quarantines on read-back and the sweep recomputes — same rows."""
-        from repro.sim import trace as trace_mod
-        from repro.wcet import cacheanalysis
+        from repro.experiments.common import STORE_LAYOUT, attach_stores
         baseline = _rows(scheduler.evaluate_points(_crc_tasks()))
-        saved_trace = trace_mod._TRACE_STORE
-        saved_reuse = cacheanalysis._REUSE_STORE
+        memos = [memo for memo, _suffix in STORE_LAYOUT.values()]
+        for memo in memos:
+            monkeypatch.setattr(memo, "store", memo.store)
         try:
-            trace_mod.set_trace_cache_dir(tmp_path / "traces")
-            cacheanalysis.set_analysis_cache_dir(tmp_path / "analysis")
-            trace_mod.clear_trace_caches()
-            cacheanalysis.clear_analysis_caches()
+            attach_stores(str(tmp_path))
             monkeypatch.setenv("REPRO_FAULT_STORE_WRITE", "torn@1+")
-            rows = _rows(scheduler.evaluate_points(_crc_tasks()))
+            # The first pass writes torn entries, the second reads them
+            # back; fresh workflows and empty memos make both passes
+            # reach the disk layers.
+            for _ in range(2):
+                monkeypatch.setattr(scheduler, "_WORKFLOWS", {})
+                for memo in memos:
+                    memo.clear()
+                rows = _rows(scheduler.evaluate_points(_crc_tasks()))
+                assert rows == baseline
+            assert all(memo.store.counters["corrupt"] for memo in memos)
         finally:
-            trace_mod._TRACE_STORE = saved_trace
-            cacheanalysis._REUSE_STORE = saved_reuse
-            trace_mod.clear_trace_caches()
-            cacheanalysis.clear_analysis_caches()
-        assert rows == baseline
+            for memo in memos:
+                memo.clear()
 
     def test_runner_artefacts_identical_after_worker_crash(
             self, tmp_path):
@@ -625,7 +661,8 @@ class TestCacheCli:
 # --------------------------------------------------------------------------
 
 class TestStoreTraceIntegration:
-    def test_trace_layer_survives_corruption_cycle(self, tmp_path):
+    def test_trace_layer_survives_corruption_cycle(self, tmp_path,
+                                                   monkeypatch):
         from repro.link import link
         from repro.minic import compile_source
         from repro.sim import trace as trace_mod
@@ -637,9 +674,9 @@ class TestStoreTraceIntegration:
         }
         """
         image = link(compile_source(source).program)
-        saved = trace_mod._TRACE_STORE
+        store = ArtifactStore(tmp_path, suffix=".trace.pkl")
+        monkeypatch.setattr(trace_mod.TRACES, "store", store)
         try:
-            trace_mod.set_trace_cache_dir(tmp_path)
             trace_mod.clear_trace_caches()
             first = trace_mod.trace_for(image, 0)
             # Corrupt every committed entry; reload must quarantine,
@@ -650,7 +687,6 @@ class TestStoreTraceIntegration:
             again = trace_mod.trace_for(image, 0)
             assert again.ops == first.ops
             assert again.base_cycles == first.base_cycles
-            store = trace_mod.trace_store()
             assert store.counters["corrupt"] >= 1
             # The cycle ends healthy: a clean entry is back on disk.
             trace_mod.clear_trace_caches()
@@ -658,7 +694,6 @@ class TestStoreTraceIntegration:
             assert reloaded.ops == first.ops
             assert store.counters["hits"] >= 1
         finally:
-            trace_mod._TRACE_STORE = saved
             trace_mod.clear_trace_caches()
 
 

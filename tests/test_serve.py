@@ -167,6 +167,30 @@ class TestServeDaemon:
         assert stats["counters"]["requests"] >= 2
         assert stats["counters"]["computed"] == 0  # inline ops only
 
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_store_stats_cover_both_layers(self, tmp_path, sharded):
+        from repro.store import ArtifactStore
+        if sharded:
+            bases = [str(tmp_path / "s0"), str(tmp_path / "s1")]
+            daemon = ServeDaemon(str(tmp_path / "d.sock"),
+                                 shard_dirs=bases, replicas=2)
+        else:
+            bases = [str(tmp_path / "cache")]
+            daemon = ServeDaemon(str(tmp_path / "d.sock"),
+                                 cache_dir=bases[0])
+        size = 0
+        for base in bases:
+            store = ArtifactStore(os.path.join(base, "analysis"))
+            store.store("k", 1)
+            size += os.path.getsize(store.path_for("k"))
+        os.makedirs(os.path.join(bases[0], "traces"))
+        assert daemon._store_stats() == {
+            "analysis": {"entries": len(bases), "bytes": size,
+                         "quarantined": 0, "shards": len(bases)},
+            "traces": {"entries": 0, "bytes": 0, "quarantined": 0,
+                       "shards": len(bases)},
+        }
+
     def test_identical_concurrent_requests_compute_once(
             self, daemon_factory):
         daemon = daemon_factory(workers=2)

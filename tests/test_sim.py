@@ -10,7 +10,7 @@ from repro.link import FunctionCode, Program, link
 from repro.memory import CacheConfig, SystemConfig
 from repro.memory.regions import MAIN_BASE, STACK_TOP
 from repro.sim import (MemoryFault, SimError, Simulator, record_trace,
-                       replay, replay_misses, simulate)
+                       replay, replay_misses, simulate, simulate_oracle)
 from repro.sim.profile import build_profile, trace_counts
 
 from .helpers import run_main
@@ -53,11 +53,16 @@ class TestExecution:
             simulate(image, SystemConfig.uncached(), max_steps=100)
 
     def test_pc_escape_detected(self):
-        # bx into the data region: no decoded instruction lives there.
-        items = [ins.movi(1, 16), ins.shift_i(Op.LSLI, 1, 1, 16),
+        # bx to MAIN_BASE + 0x8000, far past the few bytes of code: no
+        # decoded instruction lives there, so both executors must stop
+        # with the escape at once, not run into the step budget.
+        items = [ins.movi(1, 0x21), ins.shift_i(Op.LSLI, 1, 1, 15),
                  ins.bx(1)]
-        with pytest.raises(SimError):
-            run_items(items)
+        assert 0x21 << 15 == MAIN_BASE + 0x8000
+        image = link(program_of({"_start": [Label("_start")] + items}))
+        for run in (simulate, simulate_oracle):
+            with pytest.raises(SimError, match="pc escaped"):
+                run(image, SystemConfig.uncached())
 
 
 class TestMemoryFaults:

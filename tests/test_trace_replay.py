@@ -30,17 +30,17 @@ from repro.memory.regions import MAIN_BASE
 from repro.minic import compile_source
 from repro.sim import SimError, Simulator, simulate_oracle
 from repro.sim import trace as trace_mod
-from repro.sim.replay import (replay, replay_misses, replay_sweep,
-                              sweep_geometry)
+from repro.sim.replay import (replay, replay_grid, replay_misses,
+                              replay_sweep, sweep_geometry)
 from repro.sim.trace import (
     READ_TAGS,
     WRITE_TAGS,
     Trace,
     clear_trace_caches,
     record_trace,
-    set_trace_cache_dir,
     trace_for,
 )
+from repro.store import ArtifactStore, Memo
 from repro.workflow import Workflow
 
 from .helpers import SHAPES, SPM_SIZE, oracle, suite_image
@@ -185,46 +185,45 @@ def test_sweep_geometry_gate():
 # -- the content-addressed trace cache ---------------------------------------
 
 @pytest.fixture
-def fresh_trace_cache():
-    clear_trace_caches()
+def fresh_trace_cache(monkeypatch):
+    """An empty trace memo and zeroed counters; yields the counter
+    snapshot function."""
     saved = dict(trace_mod.COUNTERS)
-    yield trace_mod.COUNTERS
-    clear_trace_caches()
-    set_trace_cache_dir(None)
+    monkeypatch.setattr(trace_mod, "TRACES",
+                        Memo("trace", trace_mod.TRACE_CAPACITY))
+    trace_mod.COUNTERS.update(dict.fromkeys(saved, 0))
+    yield trace_mod.trace_counters
     trace_mod.COUNTERS.update(saved)
 
 
 def test_trace_cache_hits_and_invalidation(fresh_trace_cache):
     counters = fresh_trace_cache
-    counters.update(trace_hits=0, trace_misses=0, trace_records=0)
     image = suite_image("crc", spm=False)
     first = trace_for(image, 0)
-    assert counters["trace_misses"] == 1
+    assert counters()["trace_misses"] == 1
     assert trace_for(image, 0) is first
-    assert counters["trace_hits"] == 1
-    assert counters["trace_records"] == 1
+    assert counters()["trace_hits"] == 1
+    assert counters()["trace_records"] == 1
     # A different placement of the same program is a different image
     # content key: the cache must re-record, not serve a stale stream.
     other = trace_for(suite_image("crc", spm=True), SPM_SIZE)
-    assert counters["trace_records"] == 2
+    assert counters()["trace_records"] == 2
     assert other.spm_size == SPM_SIZE
     assert sum(other.spm_counts) > 0
 
 
 def test_trace_disk_layer_roundtrip(tmp_path, fresh_trace_cache):
     counters = fresh_trace_cache
-    set_trace_cache_dir(tmp_path)
+    trace_mod.TRACES.store = ArtifactStore(tmp_path, suffix=".trace.pkl")
     image = suite_image("adpcm", spm=False)
-    counters.update(trace_hits=0, trace_misses=0, trace_disk_hits=0,
-                    trace_records=0)
     first = trace_for(image, 0)
-    assert counters["trace_records"] == 1
+    assert counters()["trace_records"] == 1
     # A fresh process is modelled by clearing the in-memory layer: the
     # trace must come back from disk, identical, without re-recording.
     clear_trace_caches()
     reloaded = trace_for(image, 0)
-    assert counters["trace_disk_hits"] == 1
-    assert counters["trace_records"] == 1
+    assert counters()["trace_disk_hits"] == 1
+    assert counters()["trace_records"] == 1
     assert reloaded.ops == first.ops
     assert reloaded.base_cycles == first.base_cycles
     assert reloaded.console == first.console
@@ -237,10 +236,9 @@ def test_trace_disk_layer_roundtrip(tmp_path, fresh_trace_cache):
     for entry in entries:
         entry.write_bytes(b"not a pickle")
     again = trace_for(image, 0)
-    assert counters["trace_records"] == 2
+    assert counters()["trace_records"] == 2
     assert again.ops == first.ops
-    store_counts = trace_mod.trace_counters()
-    assert store_counts["trace_store_corrupt"] >= 1
+    assert counters()["trace_store_corrupt"] >= 1
     assert list((tmp_path / "corrupt").iterdir())
 
 
@@ -261,21 +259,19 @@ int main(void) {
 
 def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
     counters = fresh_trace_cache
-    counters.update(trace_hits=0, trace_misses=0, trace_records=0,
-                    sweep_passes=0, sweep_points=0, replay_runs=0)
     workflow = Workflow(_SWEEP_SOURCE)
     sizes = (64, 128, 256, 512, 1024, 2048, 4096, 8192)
     points = workflow.cache_sweep(sizes=sizes)
     assert [p.config.cache.size for p in points] == list(sizes)
     # One recorded trace, one single-pass replay, eight points served.
-    assert counters["trace_records"] == 1
-    assert counters["sweep_passes"] == 1
-    assert counters["sweep_points"] == len(sizes)
-    assert counters["replay_runs"] == 0
+    assert counters()["trace_records"] == 1
+    assert counters()["sweep_passes"] == 1
+    assert counters()["sweep_points"] == len(sizes)
+    assert counters()["replay_runs"] == 0
     # The persistence variant re-analyses WCET but reuses every sim.
     persisted = workflow.cache_sweep(sizes=sizes, persistence=True)
-    assert counters["trace_records"] == 1
-    assert counters["sweep_passes"] == 1
+    assert counters()["trace_records"] == 1
+    assert counters()["sweep_passes"] == 1
     for plain, persist in zip(points, persisted):
         assert persist.sim is plain.sim
     # Every replayed sim matches the oracle's run of the point.
@@ -287,8 +283,6 @@ def test_workflow_cache_sweep_reuses_one_trace(fresh_trace_cache):
 
 def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
     counters = fresh_trace_cache
-    counters.update(trace_records=0, sweep_passes=0, grid_passes=0,
-                    grid_points=0, replay_runs=0)
     workflow = Workflow(_SWEEP_SOURCE)
     specs = [
         (CacheConfig(size=64), False),
@@ -300,15 +294,29 @@ def test_workflow_mixed_geometry_sweep(fresh_trace_cache):
     ]
     points = workflow.cache_points(specs)
     assert [p.config.cache for p in points] == [cache for cache, _ in specs]
-    assert counters["trace_records"] == 1
-    assert counters["grid_passes"] == 1    # unified trio + the 2-way point
-    assert counters["grid_points"] == 4
-    assert counters["sweep_passes"] == 1   # all-DM icache pair
-    assert counters["replay_runs"] == 0
+    assert counters()["trace_records"] == 1
+    assert counters()["grid_passes"] == 1    # unified trio + the 2-way point
+    assert counters()["grid_points"] == 4
+    assert counters()["sweep_passes"] == 1   # all-DM icache pair
+    assert counters()["replay_runs"] == 0
     for point in points:
         _assert_same(point.sim,
                      simulate_oracle(point.image, point.config),
                      point.config.name)
+
+
+def test_grid_counts_its_scalar_walks(fresh_trace_cache):
+    counters = fresh_trace_cache
+    trace = _trace("crc", False)
+    direct = [SystemConfig.cached(CacheConfig(size=size))
+              for size in (128, 256)]
+    replay_grid(trace, direct)
+    assert (counters()["grid_numpy"], counters()["grid_scalar"]) == (1, 0)
+    two_way = SystemConfig.cached(CacheConfig(size=256, assoc=2))
+    replay_grid(trace, direct + [two_way])
+    assert (counters()["grid_numpy"], counters()["grid_scalar"]) == (2, 1)
+    replay_grid(trace, [two_way])
+    assert (counters()["grid_numpy"], counters()["grid_scalar"]) == (2, 2)
 
 
 def test_uncached_point_is_memoized():

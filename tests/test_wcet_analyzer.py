@@ -199,8 +199,8 @@ class TestMemoBounds:
                 image = link(compile_source(
                     f"int main(void) {{ return {value}; }}").program)
                 analyze_wcet(image, SystemConfig.uncached())
-                assert len(analyzer._FRONTEND_CACHE) <= cap
-            assert len(analyzer._FRONTEND_CACHE) == cap
+                assert len(analyzer.FRONTEND) <= cap
+            assert len(analyzer.FRONTEND) == cap
         finally:
             analyzer.clear_analysis_caches()
 
@@ -221,7 +221,7 @@ class TestMemoBounds:
                     image.content_key(), "main", cfg,
                     dict.fromkeys(cfg.blocks, cost), {}, loops, {})
                 assert result.wcet == cost * len(cfg.blocks)
-                assert len(analyzer._IPET_CACHE) <= cap
-            assert len(analyzer._IPET_CACHE) == cap
+                assert len(analyzer.IPET) <= cap
+            assert len(analyzer.IPET) == cap
         finally:
             analyzer.clear_analysis_caches()
